@@ -10,7 +10,7 @@ build:
 
 # Static-analysis suite: dirtymark, errflow, floatdet, gradpair, hotalloc,
 # indexspace, mapiter, parsafe, scratchlife (see internal/analysis and
-# DESIGN.md §6, §10, §12). Fails on any unsuppressed finding; stale
+# DESIGN.md §6, §9, §11). Fails on any unsuppressed finding; stale
 # //dtgp:allow annotations and hotalloc.allow entries are hard errors too.
 vet: build
 	$(GO) run ./cmd/dtgp-vet ./...
@@ -63,25 +63,18 @@ chaos-smoke:
 # Bench smoke: run every benchmark exactly once (no timing fidelity) so a
 # benchmark that panics, allocates unboundedly, or bit-rots against an API
 # change is caught pre-merge without paying for a real measurement sweep.
-# The sparse-vs-full backward pair then runs at a real (small) iteration
-# count so a regression that only shows up warm is still exercised, and
-# BENCH_backward.json is checked against the live benchmark names: renaming
-# or dropping a sub-benchmark without refreshing the committed record fails
-# loudly here instead of silently orphaning the recorded numbers.
+# The differentiable timer's forward+backward pass then runs at a real
+# (small) iteration count so a regression that only shows up warm is still
+# exercised.
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./...
-	$(GO) test -bench 'BenchmarkDiffTimerForwardBackward$$|BenchmarkDiffTimerSparseBackward' -benchtime=20x -run '^$$' . | tee /tmp/bench_backward_smoke.txt
-	@for name in $$(grep -o '"name": "Benchmark[^"]*"' BENCH_backward.json | sed -e 's/"name": "//' -e 's/"$$//'); do \
-		grep -q "^$$name\b" /tmp/bench_backward_smoke.txt /dev/null || \
-			{ echo "bench-smoke: BENCH_backward.json is stale: recorded benchmark $$name no longer runs" >&2; exit 1; }; \
-	done
+	$(GO) test -bench 'BenchmarkDiffTimerForwardBackward$$' -benchtime=20x -run '^$$' .
 
 # Scale smoke: run the harness end-to-end at a toy size (proves gen → arena
 # engine build → timing-driven stepping → RSS/JSON plumbing still compose),
-# then gate the committed scaling record the same way bench-smoke gates
-# BENCH_backward.json: every point name recorded in BENCH_scale.json must
-# still be in the default sweep, so renaming or dropping a point without
-# re-measuring fails loudly. The full sweep (bench-scale) is manual — its
+# then gate the committed scaling record: every point name recorded in
+# BENCH_scale.json must still be in the default sweep, so renaming or
+# dropping a point without re-measuring fails loudly. The full sweep (bench-scale) is manual — its
 # paper-scale anchors take minutes, not CI seconds.
 bench-scale-smoke:
 	$(GO) run ./cmd/dtgp-bench -experiment scale -cells 2000 -iters 2 -q > /tmp/bench_scale_smoke.json

@@ -67,9 +67,7 @@ func run() error {
 		svg      = flag.String("svg", "", "write a slack-coloured placement SVG to this path")
 		iters    = flag.Int("iters", 0, "max iterations (0 = default)")
 		noGuard  = flag.Bool("no-guard", false, "disable the fault-tolerance supervisor (checkpoints, rollback)")
-		exact    = flag.Bool("exact-refresh", false, "disable incremental timing: full re-extraction every evaluation (A/B baseline, bit-identical results)")
-		fullBwd  = flag.Bool("full-backward", false, "disable the sparse cone-restricted backward pass: seed every violating endpoint (quality A/B baseline)")
-		topk     = flag.Int("topk", 0, "critical endpoints seeded per sparse backward pass (0 = auto quota)")
+		exact    = flag.Bool("exact-refresh", false, "disable incremental refresh: netweight runs from-scratch STA (bit-identical results); difftiming uses the fixed-period Steiner rebuild of §3.6 (changes results)")
 		ckptDir  = flag.String("checkpoint-dir", "", "durably persist supervisor checkpoints into this directory (crash-consistent)")
 		ckptKeep = flag.Int("checkpoint-keep", 4, "checkpoints retained in -checkpoint-dir (0 = keep all)")
 		resume   = flag.Bool("resume", false, "resume from the latest checkpoint in -checkpoint-dir (exit 4 if it cannot be loaded)")
@@ -116,8 +114,6 @@ func run() error {
 	}
 	opts.Guard.Enabled = !*noGuard
 	opts.ExactRefresh = *exact
-	opts.FullBackward = *fullBwd
-	opts.TimingTopK = *topk
 	opts.CheckpointDir = *ckptDir
 	opts.CheckpointKeep = *ckptKeep
 	if *deadline > 0 {
@@ -155,10 +151,6 @@ func run() error {
 	fmt.Printf("WNS        : %.3f ps\n", res.WNS)
 	fmt.Printf("TNS        : %.3f ps\n", res.TNS)
 	fmt.Printf("runtime    : %v\n", res.Runtime)
-	if c := res.Cone; c.SparsePasses > 0 {
-		fmt.Printf("cone       : %d sparse / %d full passes, %.1f%% sweep coverage, %d/%d endpoints seeded\n",
-			c.SparsePasses, c.FullPasses, 100*c.Coverage(), c.Selected, c.Endpoints)
-	}
 	if res.Legal != nil {
 		fmt.Printf("legalized  : %d cells, avg disp %.2f, max disp %.2f\n",
 			res.Legal.Moved, res.Legal.AvgDisplacement, res.Legal.MaxDisplacement)

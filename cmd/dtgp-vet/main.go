@@ -4,7 +4,7 @@
 // zero-allocation, gradient-pairing, scratch-lifetime, error-handling,
 // incremental-state coherence and index-domain invariants of the placement
 // and timing hot paths. See internal/analysis for the checks and DESIGN.md
-// §6, §10 and §12 for why each invariant exists.
+// §6, §9 and §11 for why each invariant exists.
 //
 // parsafe, hotalloc and dirtymark are interprocedural: a call graph over the
 // whole module (direct calls, method calls, method values, closures handed

@@ -1,5 +1,5 @@
 // Package arena provides a chunked bump allocator for the pointer-free SoA
-// slices that dominate memory at paper scale (DESIGN.md §13). A 2M-cell
+// slices that dominate memory at paper scale (DESIGN.md §12). A 2M-cell
 // timing graph allocated with plain make is millions of small slices — each
 // a separate GC object with its own header, scan metadata and cache-hostile
 // placement. The arena instead carves them out of a handful of large []byte

@@ -33,8 +33,8 @@ func arenaTestBed(t *testing.T, cells int, seed int64, opts Options) (withArena,
 	return build(arena.New(1 << 20)), build(nil)
 }
 
-// moveCells perturbs every movable cell deterministically so incremental
-// refresh, per-net rebuilds and the sparse backward all get exercised.
+// moveCells perturbs every movable cell deterministically so the incremental
+// net refresh and per-net rebuilds get exercised.
 func moveCells(d *netlist.Design, step int) {
 	for ci := range d.Cells {
 		c := &d.Cells[ci]
@@ -47,8 +47,8 @@ func moveCells(d *netlist.Design, step int) {
 }
 
 // TestArenaBitIdentity: the arena changes only backing storage, never
-// values. Run several evaluations through the incremental + sparse paths
-// (the defaults) with identical movement on both sides and demand bitwise
+// values. Run several evaluations through the incremental net refresh
+// (the default) with identical movement on both sides and demand bitwise
 // equality of objective, gradients and reported metrics every iteration.
 func TestArenaBitIdentity(t *testing.T) {
 	for _, mode := range []struct {

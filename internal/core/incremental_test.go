@@ -7,11 +7,10 @@ import (
 )
 
 // exactIncOptions is the incremental configuration with every damping
-// threshold at its exact setting: any bitwise movement refreshes, refreshed
-// geometry only ever slides (no per-net rebuild, no fence), and any bitwise
-// output change propagates. Under it the incremental sweep must reproduce
-// the full sweep to the last bit, because skipped pins are exactly the pins
-// whose recomputation would read unchanged inputs.
+// threshold at its exact setting: any bitwise movement refreshes and
+// refreshed geometry only ever slides (no per-net rebuild, no fence). Under
+// it the ε-refresh must reproduce the full refresh, because skipped nets are
+// exactly the nets whose refresh would read unchanged pin positions.
 func exactIncOptions(gamma float64) Options {
 	return Options{
 		Gamma:           gamma,
@@ -20,7 +19,6 @@ func exactIncOptions(gamma float64) Options {
 		RefreshEps:      0,
 		DistortionLimit: math.Inf(1),
 		FencePeriod:     1 << 30,
-		PropagateEps:    0,
 	}
 }
 

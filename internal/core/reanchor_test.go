@@ -8,12 +8,12 @@ import (
 
 // TestReanchorBitIdentity is the core contract behind resume determinism:
 // a warm timer that is Reanchor()ed is bitwise indistinguishable from a
-// freshly constructed timer at the same positions. The incremental engine's
-// state (stale gradients, cone marks, fence phase) is history-dependent, so
-// without re-anchoring a resumed run would diverge from the original in the
-// last bits; Reanchor forces the next Evaluate through the full
-// re-extraction + full backward path, after which every derived quantity is
-// a pure function of positions.
+// freshly constructed timer at the same positions. The incremental net
+// refresh's state (net geometry since the last refresh, fence phase) is
+// history-dependent, so without re-anchoring a resumed run would diverge
+// from the original in the last bits; Reanchor forces the next Evaluate
+// through the full re-extraction fence, after which every derived quantity
+// is a pure function of positions.
 //
 // The test drives a warm timer through a random prefix trajectory, then
 // re-anchors it and replays a suffix against a fresh timer built at the
@@ -23,7 +23,7 @@ import (
 func TestReanchorBitIdentity(t *testing.T) {
 	g := makeTestBed(t, 300, 37)
 	d := g.D
-	opts := DefaultOptions() // incremental + sparse backward: the production path
+	opts := DefaultOptions() // incremental net refresh: the production path
 	warm := NewTimer(g, opts)
 	rng := rand.New(rand.NewSource(37))
 

@@ -3,11 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"dtgp/internal/arena"
-	"dtgp/internal/bitset"
 	"dtgp/internal/liberty"
 	"dtgp/internal/parallel"
 	"dtgp/internal/rctree"
@@ -28,16 +26,20 @@ type Options struct {
 	// full-refresh fence, and SteinerPeriod is ignored.
 	SteinerPeriod int
 
-	// Incremental enables displacement-driven dirty tracking: on Evaluate
-	// only nets whose pins moved beyond RefreshEps since their last refresh
-	// are re-extracted/re-propagated, and the forward sweep recomputes only
-	// pins whose fan-in changed. The zero value keeps the legacy
-	// full-refresh behaviour bit-identically.
+	// Incremental enables the ε-displacement net refresh: on Evaluate only
+	// nets whose pins moved beyond RefreshEps since their last refresh are
+	// re-extracted and re-run through Elmore, with a full re-extraction
+	// fence every FencePeriod evaluations. The forward and backward sweeps
+	// always run in full. It is kept because refreshing unmoved nets is
+	// pure waste once the placement converges, and because it is the
+	// difftiming flow's Steiner policy (per-net lazy rebuilds); the zero
+	// value selects the §3.6 fixed-period policy (SteinerPeriod) instead.
 	Incremental bool
 	// RefreshEps is the per-pin displacement threshold ε in DBU (Chebyshev
 	// distance against the geometry of the net's last refresh) below which
 	// a net keeps its cached Steiner/RC state. 0 means any bitwise movement
-	// refreshes (exact).
+	// refreshes (exact); tests use that to check the refresh against the
+	// full one.
 	RefreshEps float64
 	// DistortionLimit is the relative pin-bbox half-perimeter change that
 	// triggers a per-net Steiner topology rebuild instead of the cheap
@@ -47,55 +49,24 @@ type Options struct {
 	// violently distorted nets rebuild between fences.
 	DistortionLimit float64
 	// FencePeriod is the periodic full-refresh fence in incremental mode:
-	// every FencePeriod evaluations all nets are re-extracted and the full
-	// forward sweep runs, bounding drift from skipped sub-ε movement.
+	// every FencePeriod evaluations every moved net is re-extracted
+	// (timing.RebuildNetStatesMoved), bounding drift from skipped sub-ε
+	// movement and bounding Steiner staleness like §3.6's period does.
 	// <= 0 selects the default (10).
 	FencePeriod int
-	// PropagateEps is the forward change-damping threshold: a recomputed
-	// pin whose AT/slew/hard-AT all changed by at most PropagateEps does
-	// not dirty its fanout. 0 propagates any bitwise change (exact).
-	PropagateEps float64
-
-	// SparseBackward enables the cone-restricted backward pass: adjoints
-	// are seeded only at the TopK most critical endpoints (per-domain
-	// quota), propagated through their transitive fan-in cones, and the
-	// contributions of unselected endpoints are carried forward as a
-	// decaying stale-gradient term (ConeDecay). The zero value keeps the
-	// legacy full backward bit-identically, mirroring the Incremental
-	// contract.
-	SparseBackward bool
-	// TopK is the endpoint budget of the sparse backward. <= 0 selects the
-	// default max(16, endpoints/8).
-	TopK int
-	// ConeDecay is the stale-gradient reuse factor in [0, 0.95]: each
-	// sparse pass emits coneGrad + ConeDecay·stale and stores the result
-	// as the next stale term, so non-cone endpoint contributions fade
-	// geometrically instead of vanishing abruptly. 0 uses pure cone
-	// gradients; values are clamped to 0.95.
-	ConeDecay float64
-	// ConePrune is the relative adjoint deadband of the sparse sweep: a
-	// pin whose ∂f/∂AT and ∂f/∂slew are both below ConePrune times the
-	// largest seeded adjoint magnitude does not propagate further. The LSE
-	// spreads a conserved adjoint mass over exponentially many fan-in
-	// paths, so per-pin magnitudes decay geometrically with depth and the
-	// deadband confines the expensive LUT-gradient work to the dominant
-	// sub-cone. 0 disables pruning (pure structural cones); values are
-	// clamped to 0.1. Ignored by the full pass, which stays exact.
-	ConePrune float64
 
 	// Arena, when non-nil, backs the timer's large SoA buffers (forward
-	// state, gradients, CSR group storage, level buckets) and the per-net
-	// Steiner/RC buffers with chunked slab storage (DESIGN.md §13). All
+	// state, gradients, CSR group storage, refresh flags) and the per-net
+	// Steiner/RC buffers with chunked slab storage (DESIGN.md §12). All
 	// values are bit-identical to the heap path — only the backing storage
 	// differs. nil keeps the legacy plain-make allocation (-no-arena).
 	Arena *arena.Arena
 }
 
-// DefaultOptions mirrors the paper's §4 hyperparameters, with incremental
-// evaluation enabled: ε = 0.5 DBU, 50% distortion rebuild, fence every 10
-// (matching the legacy topology cadence, so staleness is bounded the same
-// way), and a 1 fs propagation deadband so sub-resolution arrival jitter
-// does not re-dirty the whole downstream cone.
+// DefaultOptions mirrors the paper's §4 hyperparameters, with the
+// ε-displacement net refresh enabled: ε = 0.5 DBU, 50% distortion rebuild,
+// and a fence every 10 evaluations (matching the §3.6 topology cadence, so
+// staleness is bounded the same way).
 func DefaultOptions() Options {
 	return Options{
 		Gamma:           100,
@@ -104,24 +75,30 @@ func DefaultOptions() Options {
 		RefreshEps:      0.5,
 		DistortionLimit: 0.5,
 		FencePeriod:     10,
-		PropagateEps:    1e-3,
-		SparseBackward:  true,
-		TopK:            0, // auto: max(16, endpoints/8)
-		ConeDecay:       0.5,
-		ConePrune:       1e-3,
 	}
 }
 
 // PhaseTimes accumulates wall-clock nanoseconds per Evaluate phase, split so
-// benchmarks can report forward, cone-build and backward cost separately.
+// benchmarks can report forward and backward cost separately.
 type PhaseTimes struct {
 	// ForwardNS covers net refresh, Elmore forward and the level sweep.
 	ForwardNS int64
-	// ConeBuildNS covers endpoint selection and cone marking (sparse mode).
+	// ConeBuildNS is always 0: the timer has no cone-restricted backward.
+	// It is kept because the _bench harness sums it into backward time.
 	ConeBuildNS int64
 	// BackwardNS covers seeding, the reverse sweep, Elmore backward and the
-	// Fig. 4 redistribution (excluding ConeBuildNS).
+	// Fig. 4 redistribution.
 	BackwardNS int64
+}
+
+// ConeStats counts the timer's backward passes. Every pass is the full
+// reverse sweep; the struct keeps the two counters the _bench harness reads
+// through place.Result.Cone.
+type ConeStats struct {
+	// SparsePasses is always 0: there is no cone-restricted backward.
+	SparsePasses int
+	// FullPasses counts backward passes.
+	FullPasses int
 }
 
 // fwdScratch holds one worker's candidate buffers for the cell-output LSE
@@ -176,7 +153,8 @@ const fuseMaxLevel = 64
 // Timer is the differentiable STA engine (Fig. 3). A single Evaluate call
 // runs the full forward propagation (pin locations → Steiner/Elmore → level
 // by level arrival/slew → smoothed slacks → TNS_γ, WNS_γ) and the full
-// backward pass to per-cell location gradients.
+// backward pass to per-cell location gradients. Only the net refresh is
+// incremental (Options.Incremental); both level sweeps cover every pin.
 //
 // All per-iteration state lives in buffers owned by the Timer (or by
 // per-worker scratch), so steady-state Evaluate calls are allocation-free;
@@ -270,39 +248,22 @@ type Timer struct {
 	fwdNetsFn  func(w, lo, hi int)
 	resetTasks []func()
 
-	// Incremental-evaluation state (Opts.Incremental). netMoved is the
-	// per-net movement flag written by the parallel scan (single writer per
-	// index), compacted into dirtyNets; pinDirty marks pins whose fan-in
-	// changed, bucketed by level into levelBuckets (dirtyCount tracks the
-	// outstanding total so the sweep can stop once the cone dies out);
-	// pinChanged is the per-pin "outputs changed" flag written by the level
-	// kernel. fullPass records that the current evaluation refreshed
-	// everything (first build, fence, or the dirty-density cutoff), so the
-	// forward sweep must run in full.
+	// Net-refresh state (Opts.Incremental). netMoved is the per-net
+	// movement flag written by the parallel scan (single writer per index),
+	// compacted into dirtyNets, the nets the lazy refresh touches.
 	netMoved      []bool  //dtgp:index domain=net
 	dirtyNets     []int32 //dtgp:index elem=net
-	pinDirty      bitset.Set
-	pinChanged    []bool    //dtgp:index domain=pin
-	levelBuckets  [][]int32 //dtgp:index domain=level
-	dirtyCount    int
-	curWork       []int32 //dtgp:index elem=pin
 	compactor     *parallel.Compactor
-	fullPass      bool
 	netMovedFn    func(w, lo, hi int)
 	refreshLazyFn func(w, lo, hi int)
-	fwdIncFn      func(w, lo, hi int)
 
-	// Objective scratch. wnsM/wnsZ are the shift and partition value of the
-	// inline endpoint softmin, stored so the sparse seeding can renormalise
-	// over a subset with the same shifted form.
+	// Objective scratch.
 	epStates []epState //dtgp:index domain=endp
 	sEps     []float64
 	epIdx    []int //dtgp:index elem=endp
-	wnsM     float64
-	wnsZ     float64
 
-	// Sparse backward state (Opts.SparseBackward); nil in full mode.
-	sb *sparseState
+	// backwardPasses counts backward passes (reported via Cone).
+	backwardPasses int
 
 	// Phase is the cumulative per-phase wall-clock split of Evaluate calls.
 	// Benchmarks may reset it between warm-up and measurement.
@@ -329,23 +290,6 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 		}
 		if opts.RefreshEps < 0 {
 			opts.RefreshEps = 0
-		}
-		if opts.PropagateEps < 0 {
-			opts.PropagateEps = 0
-		}
-	}
-	if opts.SparseBackward {
-		if opts.ConeDecay < 0 {
-			opts.ConeDecay = 0
-		}
-		if opts.ConeDecay > 0.95 {
-			opts.ConeDecay = 0.95
-		}
-		if opts.ConePrune < 0 {
-			opts.ConePrune = 0
-		}
-		if opts.ConePrune > 0.1 {
-			opts.ConePrune = 0.1
 		}
 	}
 	// The big per-tnode/per-net/per-cell SoA arrays carve from the arena
@@ -410,22 +354,16 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 	if opts.Incremental {
 		t.buildIncState()
 	}
-	if opts.SparseBackward {
-		t.buildSparseState()
-	}
 	return t
 }
 
 // Reanchor resets the evaluation cadence so the next Evaluate runs the
-// full-refresh fence: every bitwise-moved net is re-extracted, the forward
-// sweep recomputes every pin, and (in sparse mode) the backward pass is the
-// exact full sweep, whose gradients noteFull copies into the stale-gradient
-// memory. After that evaluation the timer's observable behaviour — outputs
+// full-refresh fence: every bitwise-moved net is re-extracted. The forward
+// and backward sweeps are always full and read no state from earlier
+// evaluations, so the net geometry and the fence phase are the only history
+// in the timer. After the fence the timer's observable behaviour — outputs
 // and all subsequent evaluations — is bitwise identical to a freshly
-// constructed timer evaluated at the same cell positions, because every
-// piece of history-dependent state (net geometry vs. last refresh, fence
-// phase, stale sparse gradients, cached cone marks) is either rebuilt from
-// the current positions or a pure structural function of the seed selection.
+// constructed timer evaluated at the same cell positions.
 //
 // The durable-checkpoint path calls this after every committed save, in the
 // original run and in resumed runs alike, which is what makes
@@ -434,46 +372,19 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 // start their next evaluation from equal state.
 func (t *Timer) Reanchor() { t.evalCount = 0 }
 
-// Cone returns the sparse-backward statistics (zero value in full mode).
+// Cone returns the backward-pass counters.
 func (t *Timer) Cone() ConeStats {
-	if t.sb == nil {
-		return ConeStats{}
-	}
-	return t.sb.stats
+	return ConeStats{FullPasses: t.backwardPasses}
 }
 
-// buildIncState allocates the dirty-tracking buffers up front so the
+// buildIncState allocates the net-refresh buffers up front so the
 // incremental steady state never grows them.
 func (t *Timer) buildIncState() {
 	g := t.G
 	a := t.Opts.Arena
 	t.netMoved = arena.Make[bool](a, len(g.D.Nets))
 	t.dirtyNets = arena.Make[int32](a, len(g.D.Nets))
-	t.pinChanged = arena.Make[bool](a, len(g.D.Pins))
-	t.pinDirty.Grow(len(g.D.Pins))
-	t.buildLevelBuckets()
 	t.compactor = parallel.NewCompactor(4 * parallel.Workers())
-}
-
-// buildLevelBuckets carves every level's dirty bucket out of one slab sized
-// by the levelisation in a single pass: bucket k is a zero-length window of
-// capacity len(Levels[k]) (a bucket can never exceed its level), so the
-// per-level make calls of the old build collapse to two allocations on the
-// heap path and zero steady-state growth either way. Pinned by an
-// AllocsPerRun guard in timer_alloc_test.go.
-func (t *Timer) buildLevelBuckets() {
-	g := t.G
-	total := 0
-	for _, level := range g.Levels {
-		total += len(level)
-	}
-	slab := arena.Make[int32](t.Opts.Arena, total) //dtgp:index elem=pin
-	t.levelBuckets = make([][]int32, len(g.Levels))
-	off := 0
-	for k, level := range g.Levels {
-		t.levelBuckets[k] = slab[off : off : off+len(level)]
-		off += len(level)
-	}
 }
 
 // buildGroups lays the reverse-sweep groups out in CSR form: one global
@@ -706,19 +617,6 @@ func (t *Timer) buildKernels() {
 			}
 		}
 	}
-	t.fwdIncFn = func(w, lo, hi int) {
-		g := t.G
-		for i := lo; i < hi; i++ {
-			pid := t.curWork[i]
-			switch {
-			case g.IsStart[pid]:
-			case g.IsNetSink[pid]:
-				t.forwardNetSinkInc(pid)
-			case g.IsCellOut[pid]:
-				t.forwardCellOutInc(pid, w)
-			}
-		}
-	}
 	t.resetTasks = []func(){
 		func() {
 			for i := range t.gAT {
@@ -777,10 +675,8 @@ func (t *Timer) preSizeNetGrad() {
 	}
 	t.netGradSized = true
 	d := t.G.D
-	if t.gDelayNode == nil { // buildSparseState may have made the outers
-		t.gDelayNode = make([][]float64, len(d.Nets))
-		t.gImpSq = make([][]float64, len(d.Nets))
-	}
+	t.gDelayNode = make([][]float64, len(d.Nets))
+	t.gImpSq = make([][]float64, len(d.Nets))
 	for ni := range d.Nets {
 		if t.Nets[ni].Tree == nil {
 			continue
@@ -803,7 +699,8 @@ func (t *Timer) ensureScratch() {
 
 // refreshNets updates or rebuilds the Steiner/RC state and runs the Elmore
 // forward passes (Fig. 3 stages 1-2). In incremental mode only nets whose
-// pins moved beyond ε are touched.
+// pins moved beyond ε are touched; otherwise every net is refreshed and the
+// topology is rebuilt every SteinerPeriod evaluations (§3.6).
 //
 //dtgp:hotpath
 func (t *Timer) refreshNets() {
@@ -814,14 +711,11 @@ func (t *Timer) refreshNets() {
 	if t.Nets == nil {
 		t.Nets = timing.BuildNetStatesArena(t.G, t.Opts.Arena)
 		t.preSizeNetGrad()
-		t.fullPass = true
 	} else if t.evalCount%t.Opts.SteinerPeriod == 0 {
 		// Periodic topology rebuild reuses each net's buffers in place.
 		timing.RebuildNetStates(t.G, t.Nets)
-		t.fullPass = true
 	} else {
 		parallel.ForGuided(len(t.Nets), 16, parallel.CostDefault, t.refreshFn)
-		t.fullPass = false
 	}
 	t.evalCount++
 	parallel.ForGuided(len(t.Nets), 16, parallel.CostDefault, t.fwdNetsFn)
@@ -841,7 +735,6 @@ func (t *Timer) refreshNetsIncremental() {
 		t.preSizeNetGrad()
 		t.evalCount++
 		parallel.ForGuided(len(t.Nets), 16, parallel.CostDefault, t.fwdNetsFn)
-		t.fullPass = true
 		return
 	}
 	if t.evalCount%t.Opts.FencePeriod == 0 {
@@ -852,17 +745,12 @@ func (t *Timer) refreshNetsIncremental() {
 		// rebuild, but O(moved nets) in a converging placement.
 		timing.RebuildNetStatesMoved(t.G, t.Nets)
 		t.evalCount++
-		t.fullPass = true
 		return
 	}
 	t.evalCount++
 	parallel.ForGuided(len(t.Nets), 16, parallel.CostLight, t.netMovedFn)
 	t.dirtyNets = t.compactor.CompactBool(t.dirtyNets, t.netMoved, parallel.CostTrivial)
 	parallel.ForGuided(len(t.dirtyNets), 4, parallel.CostHeavy, t.refreshLazyFn)
-	// Dirty-density cutoff: when most nets moved, the plain full sweep is
-	// cheaper than dirty bookkeeping (and bit-identical — it recomputes
-	// every pin from the same refreshed RC state).
-	t.fullPass = 4*len(t.dirtyNets) >= len(t.Nets)
 }
 
 // Evaluate runs one forward+backward pass. t1 and t2 weight the TNS and WNS
@@ -906,10 +794,6 @@ func (t *Timer) ExactResult() *timing.Result {
 
 //dtgp:hotpath
 func (t *Timer) forward() {
-	if t.Opts.Incremental && !t.fullPass {
-		t.forwardIncremental()
-		return
-	}
 	t.ensureScratch()
 	ninf := math.Inf(-1)
 	for i := range t.AT {
@@ -1052,143 +936,6 @@ func (t *Timer) forwardCellOut(pid int32, worker int) {
 	}
 }
 
-// forwardIncremental is the dirty-set forward sweep. It seeds every pin of
-// every refreshed net (sinks see new delays/impulses, the driver a new
-// load), then walks the level buckets in order, recomputing only dirty pins
-// and expanding the fanout of pins whose outputs actually changed. All
-// persistent forward state (AT/Slew/Valid/HardAT and the stored LSE
-// partition values) carries over from the previous evaluation, so clean
-// pins keep bit-identical values without being touched. Fanout expansion is
-// done serially between levels (fanouts live at strictly deeper levels, so
-// one pass per level suffices and a processed pin can never be re-dirtied);
-// the recomputation itself runs on the pool. Work is proportional to the
-// dirty cone: levels outside it are skipped via their empty buckets, and
-// the sweep stops as soon as the outstanding count hits zero.
-//
-//dtgp:hotpath
-func (t *Timer) forwardIncremental() {
-	t.ensureScratch()
-	d := t.G.D
-	for _, ni := range t.dirtyNets {
-		for _, pid := range d.Nets[ni].Pins {
-			t.markDirty(pid)
-		}
-	}
-	for li := range t.levelBuckets {
-		if t.dirtyCount == 0 {
-			break
-		}
-		bucket := t.levelBuckets[li]
-		if len(bucket) == 0 {
-			continue
-		}
-		// Buckets fill in fanout-discovery order; sorting restores memory
-		// order for the SoA reads (values are order-independent: each
-		// kernel writes only its own pin). Guided tiles then mirror the
-		// full sweep's locality-aware dispatch.
-		slices.Sort(bucket)
-		t.curWork = bucket
-		parallel.ForGuided(len(bucket), fwdTileGrain, parallel.CostHeavy, t.fwdIncFn)
-		t.dirtyCount -= len(bucket)
-		for _, pid := range bucket {
-			t.pinDirty.Remove(pid)
-			if !t.pinChanged[pid] {
-				continue
-			}
-			t.pinChanged[pid] = false
-			t.markFanouts(pid)
-		}
-		t.levelBuckets[li] = bucket[:0]
-	}
-}
-
-// markDirty queues pid for recomputation in its level's bucket (once).
-//
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (t *Timer) markDirty(pid int32) {
-	if t.pinDirty.TryAdd(pid) {
-		li := t.G.Level[pid]
-		t.levelBuckets[li] = append(t.levelBuckets[li], pid)
-		t.dirtyCount++
-	}
-}
-
-// changedBeyond reports whether any of the three forward quantities moved by
-// more than eps. −Inf→−Inf (unreachable stays unreachable) compares as NaN
-// and correctly reads as unchanged; −Inf→finite is +Inf and propagates.
-//
-//dtgp:hotpath
-func changedBeyond(eps, a0, a1, b0, b1, c0, c1 float64) bool {
-	return math.Abs(a1-a0) > eps || math.Abs(b1-b0) > eps || math.Abs(c1-c0) > eps
-}
-
-// forwardNetSinkInc recomputes one dirty net-sink pin by delegating to the
-// full kernel (forwardNetSink), then flags the pin as changed when its
-// outputs moved beyond PropagateEps. Wrapping the tagged kernel keeps a
-// single numeric implementation, so incremental and full sweeps are
-// bit-identical by construction.
-//
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (t *Timer) forwardNetSinkInc(pid int32) {
-	r, f := timing.TIdx(pid, timing.Rise), timing.TIdx(pid, timing.Fall)
-	atR, slR, haR := t.AT[r], t.Slew[r], t.HardAT[r]
-	atF, slF, haF := t.AT[f], t.Slew[f], t.HardAT[f]
-	t.forwardNetSink(pid)
-	eps := t.Opts.PropagateEps
-	if changedBeyond(eps, atR, t.AT[r], slR, t.Slew[r], haR, t.HardAT[r]) ||
-		changedBeyond(eps, atF, t.AT[f], slF, t.Slew[f], haF, t.HardAT[f]) {
-		t.pinChanged[pid] = true
-	}
-}
-
-// forwardCellOutInc is the cell-output counterpart of forwardNetSinkInc.
-//
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (t *Timer) forwardCellOutInc(pid int32, worker int) {
-	r, f := timing.TIdx(pid, timing.Rise), timing.TIdx(pid, timing.Fall)
-	atR, slR, haR := t.AT[r], t.Slew[r], t.HardAT[r]
-	atF, slF, haF := t.AT[f], t.Slew[f], t.HardAT[f]
-	t.forwardCellOut(pid, worker)
-	eps := t.Opts.PropagateEps
-	if changedBeyond(eps, atR, t.AT[r], slR, t.Slew[r], haR, t.HardAT[r]) ||
-		changedBeyond(eps, atF, t.AT[f], slF, t.Slew[f], haF, t.HardAT[f]) {
-		t.pinChanged[pid] = true
-	}
-}
-
-// markFanouts dirties every pin whose forward value reads pid's outputs:
-// the other pins of the net pid drives (if any), and the To pins of the
-// cell arcs leaving pid.
-//
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (t *Timer) markFanouts(pid int32) {
-	g := t.G
-	d := g.D
-	pin := &d.Pins[pid]
-	if ni := pin.Net; ni >= 0 && !g.IsClockNet[ni] && d.Nets[ni].Driver == pid {
-		for _, q := range d.Nets[ni].Pins {
-			if q != pid {
-				t.markDirty(q)
-			}
-		}
-	}
-	cell := &d.Cells[pin.Cell]
-	if cell.Lib >= 0 {
-		lc := &d.Lib.Cells[cell.Lib]
-		for ai := range lc.Arcs {
-			arc := &lc.Arcs[ai]
-			if arc.IsCheck() || cell.Pins[arc.From] != pid {
-				continue
-			}
-			t.markDirty(cell.Pins[arc.To])
-		}
-	}
-}
-
 //dtgp:hotpath
 func delayTables(arc *liberty.TimingArc, out timing.Transition) (delay, trans *liberty.LUT) {
 	if out == timing.Rise {
@@ -1323,7 +1070,6 @@ func (t *Timer) objective(t1, t2 float64, seed bool) (float64, bool) {
 	smWNS := -(wnsM + gamma*math.Log(wnsZ))
 	t.SmTNS, t.SmWNS = smTNS, smWNS
 	t.EstTNS, t.EstWNS = estTNS, estWNS
-	t.wnsM, t.wnsZ = wnsM, wnsZ
 
 	f := -t1*smTNS - t2*smWNS
 	if seed {
@@ -1413,16 +1159,14 @@ func (t *Timer) elmoreBackward(_, lo, hi int) {
 	}
 }
 
-// backward dispatches between the sparse cone-restricted pass and the legacy
-// full pass, accounting wall-clock time to Phase.BackwardNS either way.
+// backward runs the full reverse pass, accounting wall-clock time to
+// Phase.BackwardNS.
 //
 //dtgp:hotpath
 func (t *Timer) backward(t1, t2 float64) float64 {
-	if t.sb != nil {
-		return t.backwardSparse(t1, t2)
-	}
 	b0 := time.Now()
 	f := t.backwardFull(t1, t2)
+	t.backwardPasses++
 	t.Phase.BackwardNS += time.Since(b0).Nanoseconds()
 	return f
 }
@@ -1436,9 +1180,6 @@ func (t *Timer) backwardFull(t1, t2 float64) float64 {
 
 	f, any := t.objective(t1, t2, true)
 	if !any {
-		if t.sb != nil {
-			t.sb.noteFull(t)
-		}
 		return f
 	}
 
@@ -1475,9 +1216,6 @@ func (t *Timer) backwardFull(t1, t2 float64) float64 {
 				t.CellGradY[d.Pins[pid].Cell] += gr.Y[j]
 			}
 		}
-	}
-	if t.sb != nil {
-		t.sb.noteFull(t)
 	}
 	return f
 }

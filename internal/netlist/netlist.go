@@ -358,6 +358,17 @@ func (d *Design) Validate() error {
 			}
 		}
 	}
+	// listed[pid] records that pid appears on the pin list of the net it
+	// references, so the per-pin check below is O(1) instead of a scan of
+	// the net (O(Σ deg²) over the design).
+	listed := make([]bool, len(d.Pins))
+	for ni := range d.Nets {
+		for _, pid := range d.Nets[ni].Pins {
+			if pid >= 0 && int(pid) < len(d.Pins) && d.Pins[pid].Net == int32(ni) {
+				listed[pid] = true
+			}
+		}
+	}
 	for pi := range d.Pins {
 		p := &d.Pins[pi]
 		if p.Cell < 0 || int(p.Cell) >= len(d.Cells) {
@@ -367,14 +378,7 @@ func (d *Design) Validate() error {
 			if int(p.Net) >= len(d.Nets) {
 				return fmt.Errorf("netlist: pin %d references net %d out of range", pi, p.Net)
 			}
-			found := false
-			for _, q := range d.Nets[p.Net].Pins {
-				if q == int32(pi) {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !listed[pi] {
 				return fmt.Errorf("netlist: pin %d not listed on its net %q", pi, d.Nets[p.Net].Name)
 			}
 		}

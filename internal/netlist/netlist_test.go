@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"dtgp/internal/geom"
 	"dtgp/internal/liberty"
@@ -166,6 +167,38 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	d.Pins[q].Net = n
 	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "driver") {
 		t.Errorf("multi-driver not caught: %v", err)
+	}
+
+	d = buildToy(t)
+	// A pin that names a net whose pin list omits it.
+	d.Pins[d.Nets[n].Driver].Net = d.NetByName("nin")
+	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "not listed") {
+		t.Errorf("unlisted pin not caught: %v", err)
+	}
+}
+
+// TestValidateLinearInNetDegree: one 100k-pin net (a clock-tree-sized
+// fanout) must validate in time linear in the pin count. A per-pin scan of
+// the net's pin list is 5·10⁹ comparisons here and takes seconds.
+func TestValidateLinearInNetDegree(t *testing.T) {
+	const sinks = 100_000
+	d := &Design{Name: "fanout"}
+	d.Nets = []Net{{Name: "big", Driver: 0, Weight: 1}}
+	d.Cells = make([]Cell, sinks+1)
+	d.Pins = make([]Pin, sinks+1)
+	d.Nets[0].Pins = make([]int32, sinks+1)
+	for i := range d.Cells {
+		d.Cells[i] = Cell{Name: "c", Lib: -1, Class: ClassPort, Pins: []int32{int32(i)}}
+		d.Pins[i] = Pin{Cell: int32(i), Net: 0, LibPin: -1, Dir: PinInput}
+		d.Nets[0].Pins[i] = int32(i)
+	}
+	d.Pins[0].Dir = PinOutput
+	start := time.Now()
+	if err := d.Validate(); err != nil {
+		t.Fatalf("valid fanout rejected: %v", err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Errorf("Validate of a %d-pin net took %v, want well under a second", sinks+1, el)
 	}
 }
 

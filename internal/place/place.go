@@ -103,30 +103,26 @@ type Options struct {
 	TimingScale float64
 	// TimingGamma is the LSE smoothing γ of the differentiable timer.
 	TimingGamma float64
-	// SteinerPeriod is the Steiner-tree reuse period (§3.6) of the timer's
-	// full-refresh mode; ignored when incremental timing is active (the
-	// default — see ExactRefresh).
+	// SteinerPeriod is the Steiner-tree reuse period (§3.6) of the
+	// differentiable timer. It takes effect only with ExactRefresh; the
+	// default ModeDiffTiming flow rebuilds Steiner trees per net, lazily,
+	// with a full-refresh fence every 10 evaluations.
 	SteinerPeriod int
 	// NetWeightPeriod is the STA/reweight cadence of ModeNetWeight, in
 	// iterations ([24] reweights every iteration on GPU).
 	NetWeightPeriod int
-	// ExactRefresh disables displacement-driven incremental timing (the
-	// A/B baseline): the differentiable timer re-extracts and re-propagates
-	// everything each evaluation on the legacy SteinerPeriod cadence, and
-	// the net-weighting hook runs from-scratch exact STA instead of the
-	// maintained incremental engine. Results are bit-identical either way;
-	// only the work per iteration differs.
+	// ExactRefresh turns off the incremental refresh paths. Its effect
+	// depends on the flow:
+	//   - ModeNetWeight: the net-weighting hook runs from-scratch exact STA
+	//     instead of the maintained incremental engine. Results are
+	//     bit-identical either way (TestNetWeightExactRefreshBitIdentical);
+	//     only the work per iteration differs.
+	//   - ModeDiffTiming: the timer refreshes every net each evaluation and
+	//     rebuilds all Steiner trees every SteinerPeriod evaluations (the
+	//     §3.6 fixed-period policy) instead of the ε-displacement refresh
+	//     with per-net lazy rebuilds. This changes the Steiner trees and
+	//     with them the results.
 	ExactRefresh bool
-	// FullBackward disables the cone-restricted sparse backward pass (the
-	// quality A/B baseline): every timer evaluation seeds all violating
-	// endpoints and runs the full reverse sweep. Unlike ExactRefresh this
-	// changes the gradient (sparse is an approximation outside the cones),
-	// so the A/B comparison is on final WNS/TNS, not bit-identity.
-	FullBackward bool
-	// TimingTopK caps how many critical endpoints the sparse backward pass
-	// seeds per evaluation (0 = the timer's auto quota). Ignored when
-	// FullBackward is set.
-	TimingTopK int
 
 	// TraceTiming records exact WNS/TNS along the run (Fig. 8); expensive.
 	TraceTiming bool
@@ -240,8 +236,8 @@ type Result struct {
 	// supervision was disabled); Recovery.Healthy() distinguishes a clean
 	// run from one that rolled back or surrendered.
 	Recovery *guard.Report
-	// Cone summarises the sparse backward pass of the differentiable timer
-	// (zero value for other flows or FullBackward runs).
+	// Cone counts the differentiable timer's backward passes (zero value
+	// for other flows).
 	Cone core.ConeStats
 }
 
@@ -495,8 +491,6 @@ func newEngine(d *netlist.Design, con *sdc.Constraints, opts Options) (*engine, 
 			tOpts.Gamma = opts.TimingGamma
 			tOpts.SteinerPeriod = opts.SteinerPeriod
 			tOpts.Incremental = !opts.ExactRefresh
-			tOpts.SparseBackward = !opts.FullBackward
-			tOpts.TopK = opts.TimingTopK
 			tOpts.Arena = e.arena
 			e.timer = core.NewTimer(g, tOpts)
 		}

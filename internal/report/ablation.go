@@ -68,7 +68,8 @@ func runAblation(opts SuiteOptions, configure func(label string, po *place.Optio
 
 // RunAblationSteinerPeriod sweeps the Steiner-tree reuse period (§3.6's
 // "every 10 iterations" design choice; ∞ disables rebuilds entirely after
-// the first construction).
+// the first construction). The timer honours the period only in its
+// fixed-period refresh mode, so every row runs with ExactRefresh.
 func RunAblationSteinerPeriod(opts SuiteOptions) ([]AblationRow, error) {
 	periods := map[string]int{
 		"rebuild every iter": 1,
@@ -79,6 +80,7 @@ func RunAblationSteinerPeriod(opts SuiteOptions) ([]AblationRow, error) {
 	}
 	labels := []string{"rebuild every iter", "period 5", "period 10 (paper)", "period 20", "never rebuild"}
 	return runAblation(opts, func(label string, po *place.Options) {
+		po.ExactRefresh = true
 		po.SteinerPeriod = periods[label]
 	}, labels)
 }

@@ -149,6 +149,29 @@ func TestAblationWeightsQuick(t *testing.T) {
 	}
 }
 
+// TestAblationSteinerPeriodTakesEffect: the Steiner-period sweep must
+// actually change the Steiner policy. The period only applies to the
+// timer's fixed-period refresh mode; a sweep that leaves the default
+// ε-displacement refresh on produces five identical rows.
+func TestAblationSteinerPeriodTakesEffect(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multiple placement runs")
+	}
+	rows, err := RunAblationSteinerPeriod(quickSuite())
+	if err != nil {
+		t.Fatal(err)
+	}
+	byLabel := map[string]AblationRow{}
+	for _, r := range rows {
+		byLabel[r.Label] = r
+	}
+	every, never := byLabel["rebuild every iter"], byLabel["never rebuild"]
+	if every.WNS == never.WNS && every.TNS == never.TNS && every.HPWL == never.HPWL {
+		t.Errorf("\"rebuild every iter\" and \"never rebuild\" give identical results "+
+			"(WNS %v, TNS %v, HPWL %v): the Steiner period has no effect", every.WNS, every.TNS, every.HPWL)
+	}
+}
+
 func TestUnknownPresetErrors(t *testing.T) {
 	opts := quickSuite()
 	opts.Presets = []string{"bogus"}

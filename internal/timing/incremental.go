@@ -19,7 +19,8 @@ import (
 // data slew.
 //
 // It maintains late/setup analysis only, which is what placement-loop
-// clients (swap evaluation in timing-driven detailed placement) need.
+// clients need: the net-weighting flow's exact STA on every reweight, and
+// swap evaluation in timing-driven detailed placement.
 type Incremental struct {
 	G    *Graph
 	Nets []NetState //dtgp:index domain=net

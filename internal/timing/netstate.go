@@ -171,7 +171,9 @@ func buildNetStateInto(g *Graph, ni int32, ns *NetState) {
 // (extraction is deterministic), so the result is bit-identical to
 // RebuildNetStates. Rebuilt nets also get their Elmore forward pass here;
 // skipped nets keep their (identical) forward results, so the caller must
-// NOT run another forward sweep.
+// NOT run another forward sweep. The differentiable timer's refresh fence
+// calls it every FencePeriod evaluations; in a converging placement most
+// nets are skipped.
 //
 //dtgp:hotpath
 func RebuildNetStatesMoved(g *Graph, states []NetState) {
