@@ -14,6 +14,7 @@ import (
 
 	"dtgp/internal/core"
 	"dtgp/internal/gen"
+	"dtgp/internal/geom"
 	"dtgp/internal/place"
 	"dtgp/internal/timing"
 )
@@ -407,6 +408,36 @@ func BenchmarkSteinerRebuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		timing.RebuildNetStates(g, nets)
+	}
+}
+
+// BenchmarkDetailedRefine is detailed placement (adjacent and global swap
+// passes) on superblue7 at scale 256, the larger dt-suite design. The
+// design is legalized once; every iteration refines from the same legal
+// placement.
+func BenchmarkDetailedRefine(b *testing.B) {
+	d, _, err := GenerateBenchmark("superblue7", 256)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := Legalize(d); err != nil {
+		b.Fatal(err)
+	}
+	legal := make([]geom.Point, len(d.Cells))
+	for ci := range d.Cells {
+		legal[ci] = d.Cells[ci].Pos
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for ci := range d.Cells {
+			d.Cells[ci].Pos = legal[ci]
+		}
+		b.StartTimer()
+		if _, err := RefineDetailed(d, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -101,15 +101,9 @@ type ConeStats struct {
 	FullPasses int
 }
 
-// fwdScratch holds one worker's candidate buffers for the cell-output LSE
-// aggregation. Keyed by the runtime's worker id; padded so two workers'
-// slice headers never share a cache line.
-type fwdScratch struct {
-	u  []int32 //dtgp:index elem=tnode
-	at []float64
-	sl []float64
-	_  [56]byte
-}
+// lutPair is the delay and output-transition table of one cell arc for one
+// output transition.
+type lutPair struct{ delay, trans *liberty.LUT }
 
 // epState is the per-endpoint slack state of one objective evaluation.
 type epState struct {
@@ -174,8 +168,31 @@ type Timer struct {
 	// HardAT tracks the exact max alongside the LSE so WNS/TNS estimates
 	// are available without a separate exact pass.
 	HardAT []float64 //dtgp:index domain=tnode
-	// Stored LSE partition state for weight recomputation in backward.
-	atMax, atZ, slMax, slZ []float64 //dtgp:index domain=tnode
+	// LSE partition sums of the cell-output aggregation (Eq. 11); the
+	// backward divides the taped numerators by them.
+	atZ, slZ []float64 //dtgp:index domain=tnode
+
+	// Candidate tape (DESIGN.md §4): one slot per (arc, input transition)
+	// candidate of each cell-output tnode v, slots candOff[v] to
+	// candOff[v+1]-1 in the order Eq. 11 aggregates them. The slot layout
+	// is static (built in buildTape): candU is the candidate's input tnode
+	// and candLUT indexes its (delay, transition) LUT pair. A slot is live
+	// in an evaluation when Valid[candU] holds; for live slots the forward
+	// records the LUT partials at the candidate's (slew, load) and the LSE
+	// numerators exp((cand−max)/γ), which the Eq. 12 backward replays
+	// without a LUT call or an exponential.
+	candOff          []int32 //dtgp:index domain=tnode
+	candU            []int32 //dtgp:index elem=tnode
+	candLUT          []int32
+	lutPairs         []lutPair
+	candDDs, candDDl []float64 // ∂delay/∂slew, ∂delay/∂load
+	candDSs, candDSl []float64 // ∂slew/∂slew, ∂slew/∂load
+	candEAT, candESL []float64 // arrival and slew LSE numerators
+	// loadRoot is each net's driver load, the load at its RC root (0 for
+	// untimed nets), gathered once per forward so the cell-output kernel
+	// does not chase each driver's Steiner/RC state. Its adjoint is
+	// gLoadRoot.
+	loadRoot []float64 //dtgp:index domain=net
 
 	// Backward accumulators.
 	gAT, gSlew []float64 //dtgp:index domain=tnode
@@ -234,15 +251,14 @@ type Timer struct {
 	startPins          []int32 //dtgp:index elem=pin
 	startAT, startSlew []float64
 
-	// Worker-local scratch and stored kernel closures. The closures are
-	// built once in NewTimer and capture only the receiver; per-call state
-	// is passed through the cur* fields, keeping the steady state free of
-	// closure allocations.
-	scratch    []fwdScratch
+	// Stored kernel closures. They are built once in NewTimer and capture
+	// only the receiver; per-call state is passed through the cur* fields,
+	// keeping the steady state free of closure allocations.
 	curLevel   []int32 //dtgp:index elem=pin
 	curBwd     []bwdGroup
 	fwdFn      func(w, lo, hi int)
 	bwdFn      func(i int)
+	loadFn     func(w, lo, hi int)
 	elmoreFn   func(w, lo, hi int)
 	refreshFn  func(w, lo, hi int)
 	fwdNetsFn  func(w, lo, hi int)
@@ -305,12 +321,11 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 		Slew:        arena.Make[float64](a, n2),
 		Valid:       arena.Make[bool](a, n2),
 		HardAT:      arena.Make[float64](a, n2),
-		atMax:       arena.Make[float64](a, n2),
 		atZ:         arena.Make[float64](a, n2),
-		slMax:       arena.Make[float64](a, n2),
 		slZ:         arena.Make[float64](a, n2),
 		gAT:         arena.Make[float64](a, n2),
 		gSlew:       arena.Make[float64](a, n2),
+		loadRoot:    arena.Make[float64](a, len(g.D.Nets)),
 		gLoadRoot:   arena.Make[float64](a, len(g.D.Nets)),
 		netGrads:    make([]*rctree.Grad, len(g.D.Nets)),
 		netGradUsed: arena.Make[bool](a, len(g.D.Nets)),
@@ -350,6 +365,7 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 	t.buildGroups()
 	t.buildSchedule()
 	t.buildStartPins()
+	t.buildTape()
 	t.buildKernels()
 	if opts.Incremental {
 		t.buildIncState()
@@ -419,10 +435,10 @@ func (t *Timer) buildGroups() {
 	// Pass 1: per-group pin counts in final group order, plus per-level
 	// group counts (net groups first, then cell groups).
 	var sizes []int32
-	levelBase := make([]int32, nLevels+1)   // group id of each level's first group
-	netGroupsOf := make([]int32, nLevels)   // net-group count per level
-	netScratch := make([]int32, 0, 64)      // per-level net-group sizes
-	cellScratch := make([]int32, 0, 64)     // per-level cell-group sizes
+	levelBase := make([]int32, nLevels+1) // group id of each level's first group
+	netGroupsOf := make([]int32, nLevels) // net-group count per level
+	netScratch := make([]int32, 0, 64)    // per-level net-group sizes
+	cellScratch := make([]int32, 0, 64)   // per-level cell-group sizes
 	for li, level := range g.Levels {
 		stamp := int32(li)
 		netScratch, cellScratch = netScratch[:0], cellScratch[:0]
@@ -562,9 +578,74 @@ func (t *Timer) buildStartPins() {
 	}
 }
 
+// buildTape lays out the candidate tape in tnode order: every cell-output
+// tnode gets one slot per arc into its pin and input transition the arc's
+// unateness admits, in ArcsInto order. Each distinct arc gets two lutPairs
+// (rise, then fall output), so the slots index a table of a few dozen
+// entries instead of holding pointers.
+func (t *Timer) buildTape() {
+	g := t.G
+	a := t.Opts.Arena
+	n2 := 2 * len(g.D.Pins)
+	t.candOff = arena.Make[int32](a, n2+1)
+	var n int32
+	for v := 0; v < n2; v++ {
+		t.candOff[v] = n
+		pid, outTr := int32(v/2), timing.Transition(v%2)
+		if !g.IsCellOut[pid] {
+			continue
+		}
+		for _, ar := range g.ArcsInto[pid] {
+			for _, inTr := range inputTransitions(ar.Arc.Unate, outTr) {
+				if inTr >= 0 {
+					n++
+				}
+			}
+		}
+	}
+	t.candOff[n2] = n
+	t.candU = arena.Make[int32](a, int(n))
+	t.candLUT = arena.Make[int32](a, int(n))
+	pairOf := map[*liberty.TimingArc]int32{}
+	for pi := range g.D.Pins {
+		pid := int32(pi)
+		if !g.IsCellOut[pid] {
+			continue
+		}
+		next := [2]int32{t.candOff[timing.TIdx(pid, timing.Rise)], t.candOff[timing.TIdx(pid, timing.Fall)]}
+		for _, ar := range g.ArcsInto[pid] {
+			base, ok := pairOf[ar.Arc]
+			if !ok {
+				base = int32(len(t.lutPairs))
+				pairOf[ar.Arc] = base
+				for outTr := timing.Rise; outTr <= timing.Fall; outTr++ {
+					dl, tl := delayTables(ar.Arc, outTr)
+					t.lutPairs = append(t.lutPairs, lutPair{dl, tl})
+				}
+			}
+			for outTr := timing.Rise; outTr <= timing.Fall; outTr++ {
+				for _, inTr := range inputTransitions(ar.Arc.Unate, outTr) {
+					if inTr >= 0 {
+						k := next[outTr]
+						t.candU[k] = timing.TIdx(ar.FromPin, timing.Transition(inTr))
+						t.candLUT[k] = base + int32(outTr)
+						next[outTr]++
+					}
+				}
+			}
+		}
+	}
+	t.candDDs = arena.Make[float64](a, int(n))
+	t.candDDl = arena.Make[float64](a, int(n))
+	t.candDSs = arena.Make[float64](a, int(n))
+	t.candDSl = arena.Make[float64](a, int(n))
+	t.candEAT = arena.Make[float64](a, int(n))
+	t.candESL = arena.Make[float64](a, int(n))
+}
+
 // buildKernels creates the stored dispatch closures and reset tasks.
 func (t *Timer) buildKernels() {
-	t.fwdFn = func(w, lo, hi int) {
+	t.fwdFn = func(_, lo, hi int) {
 		g := t.G
 		level := t.curLevel
 		for i := lo; i < hi; i++ {
@@ -574,7 +655,7 @@ func (t *Timer) buildKernels() {
 			case g.IsNetSink[pid]:
 				t.forwardNetSink(pid)
 			case g.IsCellOut[pid]:
-				t.forwardCellOut(pid, w)
+				t.forwardCellOut(pid)
 			}
 		}
 	}
@@ -587,6 +668,15 @@ func (t *Timer) buildKernels() {
 		} else {
 			for _, pid := range grp.pins {
 				t.backwardCellOut(pid)
+			}
+		}
+	}
+	t.loadFn = func(_, lo, hi int) {
+		for ni := lo; ni < hi; ni++ {
+			if ns := &t.Nets[ni]; ns.Tree != nil {
+				t.loadRoot[ni] = ns.DriverLoad()
+			} else {
+				t.loadRoot[ni] = 0
 			}
 		}
 	}
@@ -687,16 +777,6 @@ func (t *Timer) preSizeNetGrad() {
 	}
 }
 
-// ensureScratch sizes per-worker candidate scratch to the runtime's current
-// worker count. Called from serial sections only.
-//
-//dtgp:hotpath
-func (t *Timer) ensureScratch() {
-	if n := parallel.Workers(); n > len(t.scratch) {
-		t.scratch = append(t.scratch, make([]fwdScratch, n-len(t.scratch))...)
-	}
-}
-
 // refreshNets updates or rebuilds the Steiner/RC state and runs the Elmore
 // forward passes (Fig. 3 stages 1-2). In incremental mode only nets whose
 // pins moved beyond ε are touched; otherwise every net is refreshed and the
@@ -794,7 +874,7 @@ func (t *Timer) ExactResult() *timing.Result {
 
 //dtgp:hotpath
 func (t *Timer) forward() {
-	t.ensureScratch()
+	parallel.ForGuided(len(t.Nets), 256, parallel.CostLight, t.loadFn)
 	ninf := math.Inf(-1)
 	for i := range t.AT {
 		t.AT[i] = ninf
@@ -869,69 +949,72 @@ func (t *Timer) forwardNetSink(pid int32) {
 }
 
 // forwardCellOut applies Eq. 11: LUT delays aggregated with LSE over all
-// (input pin, input transition) candidates. Candidates are materialised
-// into the worker's scratch so each LUT is evaluated once (the stable
-// two-pass LSE then runs over the cached values). HardAT is the hard
-// (non-smoothed) arrival, deliberately not differentiated.
+// (input pin, input transition) candidates, walked through the tape slots.
+// Each live candidate's LUTs are evaluated once, with their partials, into
+// its slot; the stable two-pass LSE takes the maxima in the first pass and
+// replaces the slot's candidate values with the LSE numerators in the
+// second. HardAT is the hard (non-smoothed) arrival, deliberately not
+// differentiated. candEAT/candESL are read back only by the second pass:
+// they hold this call's own candidate values, whose adjoints reach AT,
+// Slew and the load through gAT, gSlew and gLoadRoot.
 //
 //dtgp:hotpath
 //dtgp:forward(cellarc)
-//dtgp:nondiff(HardAT)
+//dtgp:nondiff(HardAT, candEAT, candESL)
 //dtgp:index pid=pin
-func (t *Timer) forwardCellOut(pid int32, worker int) {
-	g := t.G
+func (t *Timer) forwardCellOut(pid int32) {
 	gamma := t.Opts.Gamma
-	load := t.driverLoadOf(pid)
-	sc := &t.scratch[worker]
+	load := 0.0
+	if net := t.G.D.Pins[pid].Net; net >= 0 {
+		load = t.loadRoot[net]
+	}
 	for outTr := timing.Rise; outTr <= timing.Fall; outTr++ {
 		v := timing.TIdx(pid, outTr)
-		cu, cat, csl := sc.u[:0], sc.at[:0], sc.sl[:0]
-		for ai := range g.ArcsInto[pid] {
-			ar := &g.ArcsInto[pid][ai]
-			dl, tl := delayTables(ar.Arc, outTr)
-			for _, inTr := range inputTransitions(ar.Arc.Unate, outTr) {
-				if inTr < 0 {
-					continue
-				}
-				u := timing.TIdx(ar.FromPin, timing.Transition(inTr))
-				if !t.Valid[u] {
-					continue
-				}
-				d := dl.Eval(t.Slew[u], load)
-				s := tl.Eval(t.Slew[u], load)
-				cu = append(cu, u)
-				cat = append(cat, t.AT[u]+d)
-				csl = append(csl, s)
-			}
-		}
-		sc.u, sc.at, sc.sl = cu, cat, csl
-		if len(cu) == 0 {
-			continue
-		}
-		// Two-pass stable LSE over the cached candidates.
+		lo, hi := t.candOff[v], t.candOff[v+1]
 		atM, slM := math.Inf(-1), math.Inf(-1)
 		hardBest := math.Inf(-1)
-		for k, u := range cu {
-			if cat[k] > atM {
-				atM = cat[k]
+		live := false
+		for k := lo; k < hi; k++ {
+			u := t.candU[k]
+			if !t.Valid[u] {
+				continue
 			}
-			if csl[k] > slM {
-				slM = csl[k]
+			lp := &t.lutPairs[t.candLUT[k]]
+			d, dDds, dDdl := lp.delay.EvalGrad(t.Slew[u], load)
+			s, dSds, dSdl := lp.trans.EvalGrad(t.Slew[u], load)
+			t.candDDs[k], t.candDDl[k] = dDds, dDdl
+			t.candDSs[k], t.candDSl[k] = dSds, dSdl
+			at := t.AT[u] + d
+			t.candEAT[k], t.candESL[k] = at, s
+			if at > atM {
+				atM = at
 			}
-			if h := t.HardAT[u] + (cat[k] - t.AT[u]); h > hardBest {
+			if s > slM {
+				slM = s
+			}
+			if h := t.HardAT[u] + (at - t.AT[u]); h > hardBest {
 				hardBest = h
 			}
+			live = true
+		}
+		if !live {
+			continue
 		}
 		var atZ, slZ float64
-		for k := range cu {
-			atZ += math.Exp((cat[k] - atM) / gamma)
-			slZ += math.Exp((csl[k] - slM) / gamma)
+		for k := lo; k < hi; k++ {
+			if !t.Valid[t.candU[k]] {
+				continue
+			}
+			eAT := math.Exp((t.candEAT[k] - atM) / gamma)
+			eSL := math.Exp((t.candESL[k] - slM) / gamma)
+			t.candEAT[k], t.candESL[k] = eAT, eSL
+			atZ += eAT
+			slZ += eSL
 		}
 		t.AT[v] = atM + gamma*math.Log(atZ)
 		t.Slew[v] = slM + gamma*math.Log(slZ)
 		t.HardAT[v] = hardBest
-		t.atMax[v], t.atZ[v] = atM, atZ
-		t.slMax[v], t.slZ[v] = slM, slZ
+		t.atZ[v], t.slZ[v] = atZ, slZ
 		t.Valid[v] = true
 	}
 }
@@ -1140,7 +1223,6 @@ func constraintTable(arc *liberty.TimingArc, dataTr timing.Transition) *liberty.
 // t.elmoreFn so the hot loop dispatches without a per-call method value.
 //
 //dtgp:hotpath
-//dtgp:hotpath
 //dtgp:backward(elmore-batch)
 func (t *Timer) elmoreBackward(_, lo, hi int) {
 	for ni := lo; ni < hi; ni++ {
@@ -1264,15 +1346,16 @@ func (t *Timer) backwardNetSink(pid int32) {
 	}
 }
 
-// backwardCellOut applies Eq. 12 for every output transition of a pin.
+// backwardCellOut applies Eq. 12 for every output transition of a pin by
+// replaying the live slots of the candidate tape the forward wrote: the
+// LSE weights are the taped numerators over the stored partition sums, and
+// the LUT partials are taped too.
 //
 //dtgp:hotpath
 //dtgp:backward(cellarc)
 //dtgp:index pid=pin
 func (t *Timer) backwardCellOut(pid int32) {
-	gamma := t.Opts.Gamma
 	netID := t.G.D.Pins[pid].Net
-	load := t.driverLoadOf(pid)
 	for outTr := timing.Rise; outTr <= timing.Fall; outTr++ {
 		v := timing.TIdx(pid, outTr)
 		if !t.Valid[v] {
@@ -1282,38 +1365,27 @@ func (t *Timer) backwardCellOut(pid int32) {
 		if gat == 0 && gsl == 0 {
 			continue
 		}
-		atM, atZ := t.atMax[v], t.atZ[v]
-		slM, slZ := t.slMax[v], t.slZ[v]
+		atZ, slZ := t.atZ[v], t.slZ[v]
 		if atZ == 0 || slZ == 0 {
 			continue
 		}
-		g := t.G
-		for ai := range g.ArcsInto[pid] {
-			ar := &g.ArcsInto[pid][ai]
-			dl, tl := delayTables(ar.Arc, outTr)
-			for _, inTr := range inputTransitions(ar.Arc.Unate, outTr) {
-				if inTr < 0 {
-					continue
-				}
-				u := timing.TIdx(ar.FromPin, timing.Transition(inTr))
-				if !t.Valid[u] {
-					continue
-				}
-				dv, dDds, dDdl := dl.EvalGrad(t.Slew[u], load)
-				sv, dSds, dSdl := tl.EvalGrad(t.Slew[u], load)
-				wAT := math.Exp((t.AT[u]+dv-atM)/gamma) / atZ
-				wSL := math.Exp((sv-slM)/gamma) / slZ
-				// Eq. 12a/12b: arrival candidates.
-				gA := wAT * gat
-				t.gAT[u] += gA
-				// Eq. 12c: slew candidates.
-				gS := wSL * gsl
-				// Eq. 12d: input slew via both LUTs.
-				t.gSlew[u] += dDds*gA + dSds*gS
-				// Eq. 12e: output load via both LUTs.
-				if netID >= 0 {
-					t.gLoadRoot[netID] += dDdl*gA + dSdl*gS
-				}
+		for k := t.candOff[v]; k < t.candOff[v+1]; k++ {
+			u := t.candU[k]
+			if !t.Valid[u] {
+				continue
+			}
+			wAT := t.candEAT[k] / atZ
+			wSL := t.candESL[k] / slZ
+			// Eq. 12a/12b: arrival candidates.
+			gA := wAT * gat
+			t.gAT[u] += gA
+			// Eq. 12c: slew candidates.
+			gS := wSL * gsl
+			// Eq. 12d: input slew via both LUTs.
+			t.gSlew[u] += t.candDDs[k]*gA + t.candDSs[k]*gS
+			// Eq. 12e: output load via both LUTs.
+			if netID >= 0 {
+				t.gLoadRoot[netID] += t.candDDl[k]*gA + t.candDSl[k]*gS
 			}
 		}
 	}

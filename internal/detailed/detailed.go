@@ -8,6 +8,7 @@ package detailed
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dtgp/internal/geom"
@@ -39,13 +40,18 @@ type Result struct {
 // Refine improves the design in place. The input must be legal (row
 // aligned, overlap free); the output stays legal.
 func Refine(d *netlist.Design, opts Options) (*Result, error) {
+	return refine(d, opts, false)
+}
+
+// refine runs the swap passes; weighted makes swap costs use net weights.
+func refine(d *netlist.Design, opts Options, weighted bool) (*Result, error) {
 	if opts.Passes <= 0 {
 		opts.Passes = 3
 	}
 	if opts.GlobalSwapCandidates <= 0 {
 		opts.GlobalSwapCandidates = 6
 	}
-	r := &refiner{d: d}
+	r := &refiner{d: d, weighted: weighted}
 	if err := r.init(); err != nil {
 		return nil, err
 	}
@@ -71,6 +77,19 @@ type refiner struct {
 	// rows[y-key] holds cell indices sorted by x.
 	rowOf   map[int64][]int32 //dtgp:index elem=cell
 	rowKeys []int64
+	// Reused per-call buffers: the nets netsCost has already counted,
+	// nearestCells' partner distances and nearest partners, and the
+	// bounding-box coordinates optimalRegion takes the median of.
+	seenNets []int32 //dtgp:index elem=net
+	near     []cellDist
+	top      []cellDist
+	xs, ys   []float64
+}
+
+// cellDist is a partner cell and its distance to a target point.
+type cellDist struct {
+	ci   int32 //dtgp:index domain=cell
+	dist float64
 }
 
 func yKey(y float64) int64 { return int64(math.Round(y * 1e3)) }
@@ -104,18 +123,19 @@ func (r *refiner) init() error {
 }
 
 // netsCost sums the HPWL of every net touching the given cells (each net
-// once).
+// once, in first-seen pin order). A swap touches a handful of nets, so the
+// linear dedupe over the reused seenNets buffer beats a set.
 func (r *refiner) netsCost(cells ...int32) float64 {
 	d := r.d
-	seen := map[int32]bool{}
+	r.seenNets = r.seenNets[:0]
 	total := 0.0
 	for _, ci := range cells {
 		for _, pid := range d.Cells[ci].Pins {
 			ni := d.Pins[pid].Net
-			if ni < 0 || seen[ni] {
+			if ni < 0 || slices.Contains(r.seenNets, ni) {
 				continue
 			}
-			seen[ni] = true
+			r.seenNets = append(r.seenNets, ni)
 			if r.weighted {
 				total += d.Nets[ni].Weight * d.NetHPWL(ni)
 			} else {
@@ -180,11 +200,14 @@ func (r *refiner) globalSwapPass(candidates int) int {
 				continue
 			}
 			partners := byWidth[wk(ca.W)]
-			// Try the few partners nearest the optimal point.
+			// Try the few partners nearest the optimal point. a is among
+			// its partners once, so the candidates+1 nearest hold every
+			// partner the loop tries.
 			best := int32(-1)
 			bestGain := 1e-9
 			tried := 0
-			for _, b := range nearestCells(d, partners, opt, candidates*4) {
+			for _, near := range r.nearestCells(partners, opt, candidates+1) {
+				b := near.ci
 				if b == a || tried >= candidates {
 					continue
 				}
@@ -255,7 +278,7 @@ func (r *refiner) swapEntries(a, b int32, rowA, rowB int64) {
 //dtgp:index ci=cell
 func (r *refiner) optimalRegion(ci int32) (geom.Point, bool) {
 	d := r.d
-	var xs, ys []float64
+	xs, ys := r.xs[:0], r.ys[:0]
 	for _, pid := range d.Cells[ci].Pins {
 		ni := d.Pins[pid].Net
 		if ni < 0 {
@@ -281,6 +304,7 @@ func (r *refiner) optimalRegion(ci int32) (geom.Point, bool) {
 		xs = append(xs, lo.X, hi.X)
 		ys = append(ys, lo.Y, hi.Y)
 	}
+	r.xs, r.ys = xs, ys
 	if len(xs) == 0 {
 		return geom.Point{}, false
 	}
@@ -289,27 +313,57 @@ func (r *refiner) optimalRegion(ci int32) (geom.Point, bool) {
 	return geom.Point{X: xs[len(xs)/2], Y: ys[len(ys)/2]}, true
 }
 
-// nearestCells returns up to k cells from the candidate list closest to p.
+// nearestCells returns up to k cells from the candidate list closest to p,
+// nearest first, in the order a pdqsort of all candidates by distance puts
+// them. When the k+1 smallest distances are distinct that order is the
+// only sorted one, and one scan with a bounded insertion finds it; a tie
+// among them falls back to the full sort, whose tie order is part of the
+// result. The result aliases a refiner buffer and is valid until the next
+// call.
 //
-//dtgp:index cands=[]cell return=[]cell
-func nearestCells(d *netlist.Design, cands []int32, p geom.Point, k int) []int32 {
-	type dc struct {
-		ci   int32
-		dist float64
-	}
-	ds := make([]dc, 0, len(cands))
+//dtgp:index cands=[]cell
+func (r *refiner) nearestCells(cands []int32, p geom.Point, k int) []cellDist {
+	d := r.d
+	ds := r.near[:0]
 	for _, ci := range cands {
-		ds = append(ds, dc{ci, d.Cells[ci].Center().ManhattanDist(p)})
+		ds = append(ds, cellDist{ci, d.Cells[ci].Center().ManhattanDist(p)})
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].dist < ds[j].dist })
+	r.near = ds
 	if k > len(ds) {
 		k = len(ds)
 	}
-	out := make([]int32, k)
-	for i := 0; i < k; i++ {
-		out[i] = ds[i].ci
+	// top holds the k+1 smallest distances seen so far, ascending.
+	top := r.top[:0]
+	for _, c := range ds {
+		if len(top) == k+1 {
+			if c.dist >= top[k].dist {
+				continue
+			}
+			top = top[:k]
+		}
+		i := len(top)
+		top = append(top, c)
+		for ; i > 0 && c.dist < top[i-1].dist; i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = c
 	}
-	return out
+	r.top = top
+	for i := 1; i < len(top); i++ {
+		if top[i].dist == top[i-1].dist {
+			// cmp < 0 exactly when a is nearer: the same pdqsort and tie
+			// order as sort.Slice with the "<" less function.
+			slices.SortFunc(ds, func(a, b cellDist) int {
+				if a.dist < b.dist {
+					return -1
+				}
+				return 0
+			})
+			top = ds
+			break
+		}
+	}
+	return top[:k]
 }
 
 // RefineTimingAware runs refinement with criticality-weighted wirelength:
@@ -334,32 +388,5 @@ func RefineTimingAware(d *netlist.Design, crit []float64, alpha float64, opts Op
 			d.Nets[ni].Weight = saved[ni]
 		}
 	}()
-	return refineWeighted(d, opts)
-}
-
-// refineWeighted is Refine with net-weighted cost.
-func refineWeighted(d *netlist.Design, opts Options) (*Result, error) {
-	if opts.Passes <= 0 {
-		opts.Passes = 3
-	}
-	if opts.GlobalSwapCandidates <= 0 {
-		opts.GlobalSwapCandidates = 6
-	}
-	r := &refiner{d: d, weighted: true}
-	if err := r.init(); err != nil {
-		return nil, err
-	}
-	res := &Result{HPWLBefore: d.HPWL()}
-	for pass := 0; pass < opts.Passes; pass++ {
-		adj := r.adjacentSwapPass()
-		glob := r.globalSwapPass(opts.GlobalSwapCandidates)
-		res.AdjacentSwaps += adj
-		res.GlobalSwaps += glob
-		res.Passes++
-		if adj+glob == 0 {
-			break
-		}
-	}
-	res.HPWLAfter = d.HPWL()
-	return res, nil
+	return refine(d, opts, true)
 }

@@ -1,10 +1,14 @@
 package detailed
 
 import (
+	"math"
+	"sort"
 	"testing"
 
 	"dtgp/internal/gen"
+	"dtgp/internal/geom"
 	"dtgp/internal/legalize"
+	"dtgp/internal/netlist"
 	"dtgp/internal/netweight"
 	"dtgp/internal/timing"
 )
@@ -237,5 +241,158 @@ func TestRefineTimingWrongGraph(t *testing.T) {
 	}
 	if _, err := RefineTiming(d2, g1, DefaultTimingOptions()); err == nil {
 		t.Error("mismatched design/graph accepted")
+	}
+}
+
+// refineReference is Refine with the map-set netsCost and the
+// sort.Slice-on-a-fresh-slice nearestCells it used before the reused
+// buffers: the golden the constant-factor rewrite must reproduce exactly.
+func refineReference(d *netlist.Design, opts Options) (*Result, error) {
+	r := &refiner{d: d}
+	if err := r.init(); err != nil {
+		return nil, err
+	}
+	netsCost := func(cells ...int32) float64 {
+		seen := map[int32]bool{}
+		total := 0.0
+		for _, ci := range cells {
+			for _, pid := range d.Cells[ci].Pins {
+				ni := d.Pins[pid].Net
+				if ni < 0 || seen[ni] {
+					continue
+				}
+				seen[ni] = true
+				total += d.NetHPWL(ni)
+			}
+		}
+		return total
+	}
+	nearestCells := func(cands []int32, p geom.Point, k int) []int32 {
+		type dc struct {
+			ci   int32
+			dist float64
+		}
+		ds := make([]dc, 0, len(cands))
+		for _, ci := range cands {
+			ds = append(ds, dc{ci, d.Cells[ci].Center().ManhattanDist(p)})
+		}
+		sort.Slice(ds, func(i, j int) bool { return ds[i].dist < ds[j].dist })
+		if k > len(ds) {
+			k = len(ds)
+		}
+		out := make([]int32, k)
+		for i := 0; i < k; i++ {
+			out[i] = ds[i].ci
+		}
+		return out
+	}
+	adjacent := func() int {
+		swaps := 0
+		for _, k := range r.rowKeys {
+			cells := r.rowOf[k]
+			for i := 0; i+1 < len(cells); i++ {
+				a, b := cells[i], cells[i+1]
+				ca, cb := &d.Cells[a], &d.Cells[b]
+				gap := cb.Pos.X - (ca.Pos.X + ca.W)
+				before := netsCost(a, b)
+				ax, bx := ca.Pos.X, cb.Pos.X
+				cb.Pos.X = ax
+				ca.Pos.X = ax + cb.W + gap
+				if after := netsCost(a, b); after < before-1e-9 {
+					cells[i], cells[i+1] = b, a
+					swaps++
+				} else {
+					ca.Pos.X, cb.Pos.X = ax, bx
+				}
+			}
+		}
+		return swaps
+	}
+	global := func(candidates int) int {
+		byWidth := map[int64][]int32{}
+		wk := func(w float64) int64 { return int64(math.Round(w * 1e3)) }
+		for _, k := range r.rowKeys {
+			for _, ci := range r.rowOf[k] {
+				byWidth[wk(d.Cells[ci].W)] = append(byWidth[wk(d.Cells[ci].W)], ci)
+			}
+		}
+		swaps := 0
+		for _, k := range r.rowKeys {
+			for _, a := range r.rowOf[k] {
+				ca := &d.Cells[a]
+				opt, ok := r.optimalRegion(a)
+				if !ok || ca.Center().ManhattanDist(opt) < 2*ca.H {
+					continue
+				}
+				best, bestGain, tried := int32(-1), 1e-9, 0
+				for _, b := range nearestCells(byWidth[wk(ca.W)], opt, candidates*4) {
+					if b == a || tried >= candidates {
+						continue
+					}
+					tried++
+					cb := &d.Cells[b]
+					before := netsCost(a, b)
+					ca.Pos, cb.Pos = cb.Pos, ca.Pos
+					after := netsCost(a, b)
+					ca.Pos, cb.Pos = cb.Pos, ca.Pos
+					if gain := before - after; gain > bestGain {
+						bestGain, best = gain, b
+					}
+				}
+				if best >= 0 {
+					cb := &d.Cells[best]
+					rowA, rowB := yKey(ca.Pos.Y), yKey(cb.Pos.Y)
+					ca.Pos, cb.Pos = cb.Pos, ca.Pos
+					r.swapEntries(a, best, rowA, rowB)
+					swaps++
+				}
+			}
+		}
+		return swaps
+	}
+	res := &Result{HPWLBefore: d.HPWL()}
+	for pass := 0; pass < opts.Passes; pass++ {
+		adj, glob := adjacent(), global(opts.GlobalSwapCandidates)
+		res.AdjacentSwaps += adj
+		res.GlobalSwaps += glob
+		res.Passes++
+		if adj+glob == 0 {
+			break
+		}
+	}
+	res.HPWLAfter = d.HPWL()
+	return res, nil
+}
+
+// TestRefineMatchesReference: Refine reproduces the reference refinement
+// exactly — every cell position bit for bit, the HPWL and the swap counts.
+func TestRefineMatchesReference(t *testing.T) {
+	d0, _, err := gen.Generate(gen.DefaultParams("dp-golden", 1500, 19))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := legalize.Legalize(d0); err != nil {
+		t.Fatal(err)
+	}
+	dNew, dRef := d0.Clone(), d0.Clone()
+	got, err := Refine(dNew, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := refineReference(dRef, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *got != *want {
+		t.Fatalf("result %+v, reference %+v", *got, *want)
+	}
+	if got.GlobalSwaps == 0 || got.AdjacentSwaps == 0 {
+		t.Fatalf("reference design exercises too little: %+v", *got)
+	}
+	for ci := range dNew.Cells {
+		a, b := dNew.Cells[ci].Pos, dRef.Cells[ci].Pos
+		if math.Float64bits(a.X) != math.Float64bits(b.X) || math.Float64bits(a.Y) != math.Float64bits(b.Y) {
+			t.Fatalf("cell %d at %v, reference %v", ci, a, b)
+		}
 	}
 }
