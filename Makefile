@@ -3,7 +3,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: build vet vet-budget vet-fixtures test race bench bench-smoke bench-scale bench-scale-smoke check fuzz-smoke chaos-smoke
+.PHONY: build vet vet-budget vet-fixtures test race bench bench-smoke bench-selftest bench-scale bench-scale-smoke check fuzz-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,14 @@ bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./...
 	$(GO) test -bench 'BenchmarkDiffTimerForwardBackward$$' -benchtime=20x -run '^$$' .
 
+# Benchmark self-test: the go tool skips directories whose names start with
+# "_", so the root `go test ./...` never compiles the end-to-end benchmark
+# module in _bench/ (its own go.mod, importing this tree through a replace
+# directive). Vet it and run its toy-size self-test, so an API change that
+# breaks the benchmark fails here instead of when the benchmark runs.
+bench-selftest:
+	cd _bench && $(GO) vet ./... && $(GO) test ./...
+
 # Scale smoke: run the harness end-to-end at a toy size (proves gen → arena
 # engine build → timing-driven stepping → RSS/JSON plumbing still compose),
 # then gate the committed scaling record: every point name recorded in
@@ -95,13 +103,15 @@ bench-scale:
 
 # check is the full pre-merge gate: compile, static analysis, the whole test
 # suite, the race detector over the quick (-short) suite, the chaos/resume
-# robustness matrix, the benchmark smoke, and the parser+codec fuzz smoke.
+# robustness matrix, the benchmark smoke and self-test, and the parser+codec
+# fuzz smoke.
 check: build vet
 	$(MAKE) vet-fixtures
 	$(GO) test ./...
 	$(GO) test -race -short ./...
 	$(MAKE) chaos-smoke
 	$(MAKE) bench-smoke
+	$(MAKE) bench-selftest
 	$(MAKE) bench-scale-smoke
 	$(MAKE) fuzz-smoke
 

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"dtgp/internal/liberty"
 	"dtgp/internal/rctree"
 	"dtgp/internal/timing"
 )
@@ -74,7 +73,6 @@ func (t *Timer) EvaluateHold(t1, t2, t3 float64) float64 {
 //dtgp:hotpath
 func (t *Timer) forwardEarly() {
 	g := t.G
-	d := g.D
 	h := t.hold
 	pinf := math.Inf(1)
 	for i := range h.AT {
@@ -85,23 +83,8 @@ func (t *Timer) forwardEarly() {
 		h.atZ[i] = 0
 		h.slZ[i] = 0
 	}
-	for pi := range d.Pins {
-		pid := int32(pi)
-		if !g.IsStart[pid] {
-			continue
-		}
-		var at, slew float64
-		if g.IsClockPin[pid] {
-			at, slew = 0, t.clockSlew
-		} else {
-			cell := &d.Cells[d.Pins[pid].Cell]
-			if g.Con != nil {
-				at = g.Con.InputDelayOf(cell.Name)
-				slew = g.Con.InputSlewOf(cell.Name)
-			} else {
-				slew = 30
-			}
-		}
+	for k, pid := range g.Starts {
+		at, slew := g.StartAT[k], g.StartSlew[k]
 		for tr := timing.Rise; tr <= timing.Fall; tr++ {
 			ti := timing.TIdx(pid, tr)
 			h.AT[ti], h.HardAT[ti] = at, at
@@ -124,23 +107,24 @@ func (t *Timer) forwardEarly() {
 }
 
 // forwardEarlyNetSink propagates early-mode arrival and slew across a net
-// edge. HardAT mirrors the non-smoothed arrival and is excluded from the
-// differentiable surface.
+// edge, with the early derate on the Elmore delay. HardAT mirrors the
+// non-smoothed arrival and is excluded from the differentiable surface.
 //
 //dtgp:hotpath
 //dtgp:forward(netprop-early)
 //dtgp:nondiff(HardAT)
 //dtgp:index pid=pin
 func (t *Timer) forwardEarlyNetSink(pid int32) {
-	ni := t.netOfSink[pid]
+	g := t.G
+	ni := g.NetOfSink[pid]
 	if ni < 0 || t.Nets[ni].Tree == nil {
 		return
 	}
 	h := t.hold
 	ns := &t.Nets[ni]
-	driver := t.G.D.Nets[ni].Driver
-	k := int(t.posOfSink[pid])
-	delay := ns.SinkDelay(k)
+	driver := g.D.Nets[ni].Driver
+	k := int(g.PosOfSink[pid])
+	delay := ns.SinkDelay(k) * t.derateEarly
 	imp := ns.SinkImpulse(k)
 	for tr := timing.Rise; tr <= timing.Fall; tr++ {
 		u, v := timing.TIdx(driver, tr), timing.TIdx(pid, tr)
@@ -165,7 +149,7 @@ func (t *Timer) forwardEarlyNetSink(pid int32) {
 func (t *Timer) forwardEarlyCellOut(pid int32) {
 	h := t.hold
 	gamma := t.Opts.Gamma
-	load := t.driverLoadOf(pid)
+	load := t.earlyLoad(pid)
 	for outTr := timing.Rise; outTr <= timing.Fall; outTr++ {
 		v := timing.TIdx(pid, outTr)
 		// max of negated = −min.
@@ -201,7 +185,23 @@ func (t *Timer) forwardEarlyCellOut(pid int32) {
 	}
 }
 
-// eachEarlyCandidate mirrors eachCandidate with early-mode input slews.
+// earlyLoad returns the driver load on an output pin's net, from the
+// per-net column the late forward gathered (0 for an unconnected pin). Its
+// early-mode adjoint accumulates into gLoadRootEarly, which Elmore's
+// backward then chains like gLoadRoot.
+//
+//dtgp:hotpath
+//dtgp:index pid=pin
+func (t *Timer) earlyLoad(pid int32) float64 {
+	if net := t.G.D.Pins[pid].Net; net >= 0 {
+		return t.loadRoot[net]
+	}
+	return 0
+}
+
+// eachEarlyCandidate visits the early-mode candidates of an output
+// transition: each valid (arc, input transition) with its early-derated
+// arrival and its slew.
 //
 //dtgp:hotpath
 //dtgp:index pid=pin
@@ -210,8 +210,8 @@ func (t *Timer) eachEarlyCandidate(pid int32, outTr timing.Transition, load floa
 	h := t.hold
 	for ai := range g.ArcsInto[pid] {
 		ar := &g.ArcsInto[pid][ai]
-		dl, tl := delayTables(ar.Arc, outTr)
-		for _, inTr := range inputTransitions(ar.Arc.Unate, outTr) {
+		dl, tl := timing.DelayTable(ar.Arc, outTr)
+		for _, inTr := range timing.ArcCombos(ar.Arc.Unate, outTr) {
 			if inTr < 0 {
 				continue
 			}
@@ -219,7 +219,7 @@ func (t *Timer) eachEarlyCandidate(pid int32, outTr timing.Transition, load floa
 			if !h.Valid[u] {
 				continue
 			}
-			dv := dl.Eval(h.Slew[u], load)
+			dv := dl.Eval(h.Slew[u], load) * t.derateEarly
 			sv := tl.Eval(h.Slew[u], load)
 			fn(u, h.AT[u]+dv, sv)
 		}
@@ -247,7 +247,7 @@ func (t *Timer) holdObjective(t3 float64, seed bool) float64 {
 			if !h.Valid[ti] {
 				continue
 			}
-			lut := holdConstraintTable(ep.Hold.Arc, tr)
+			lut := timing.ConstraintTable(ep.Hold.Arc, tr)
 			s[tr] = h.AT[ti] - lut.Eval(t.clockSlew, h.Slew[ti])
 			ok[tr] = true
 		}
@@ -272,7 +272,7 @@ func (t *Timer) holdObjective(t3 float64, seed bool) float64 {
 				continue
 			}
 			ti := timing.TIdx(ep.Pin, tr)
-			lut := holdConstraintTable(ep.Hold.Arc, tr)
+			lut := timing.ConstraintTable(ep.Hold.Arc, tr)
 			if v := h.HardAT[ti] - lut.Eval(t.clockSlew, h.Slew[ti]); v < hard {
 				hard = v
 			}
@@ -290,7 +290,7 @@ func (t *Timer) holdObjective(t3 float64, seed bool) float64 {
 				dfdsTr := dfds * wTr[tr]
 				// slack = AT_early − hold(clockSlew, Slew_early).
 				h.gAT[ti] += dfdsTr
-				lut := holdConstraintTable(ep.Hold.Arc, tr)
+				lut := timing.ConstraintTable(ep.Hold.Arc, tr)
 				_, _, dHdS := lut.EvalGrad(t.clockSlew, h.Slew[ti])
 				h.gSlew[ti] -= dHdS * dfdsTr
 			}
@@ -298,14 +298,6 @@ func (t *Timer) holdObjective(t3 float64, seed bool) float64 {
 	}
 	t.SmTHS, t.EstTHS = smTHS, estTHS
 	return -t3 * smTHS
-}
-
-//dtgp:hotpath
-func holdConstraintTable(arc *liberty.TimingArc, dataTr timing.Transition) *liberty.LUT {
-	if dataTr == timing.Rise {
-		return arc.RiseConstraint
-	}
-	return arc.FallConstraint
 }
 
 // backwardWithHold is backward() extended with the early-mode chain.
@@ -418,14 +410,15 @@ func (t *Timer) backwardWithHold(t1, t2, t3 float64) float64 {
 //dtgp:backward(netprop-early)
 //dtgp:index pid=pin
 func (t *Timer) backwardEarlyNetSink(pid int32) {
-	ni := t.netOfSink[pid]
+	g := t.G
+	ni := g.NetOfSink[pid]
 	if ni < 0 || t.Nets[ni].Tree == nil {
 		return
 	}
 	h := t.hold
 	ns := &t.Nets[ni]
-	driver := t.G.D.Nets[ni].Driver
-	node := ns.Node[t.posOfSink[pid]]
+	driver := g.D.Nets[ni].Driver
+	node := ns.Node[g.PosOfSink[pid]]
 	for tr := timing.Rise; tr <= timing.Fall; tr++ {
 		u, v := timing.TIdx(driver, tr), timing.TIdx(pid, tr)
 		if !h.Valid[v] || !h.Valid[u] {
@@ -436,7 +429,7 @@ func (t *Timer) backwardEarlyNetSink(pid int32) {
 			continue
 		}
 		h.gAT[u] += gat
-		t.gDelayNodeEarly[ni][node] += gat
+		t.gDelayNodeEarly[ni][node] += gat * t.derateEarly
 		if sv := h.Slew[v]; sv > 1e-9 {
 			h.gSlew[u] += h.Slew[u] / sv * gsl
 			t.gImpSqEarly[ni][node] += gsl / (2 * sv)
@@ -450,9 +443,9 @@ func (t *Timer) backwardEarlyNetSink(pid int32) {
 func (t *Timer) backwardEarlyCellOut(pid int32) {
 	h := t.hold
 	gamma := t.Opts.Gamma
-	netID := t.G.D.Pins[pid].Net
-	load := t.driverLoadOf(pid)
 	g := t.G
+	netID := g.D.Pins[pid].Net
+	load := t.earlyLoad(pid)
 	for outTr := timing.Rise; outTr <= timing.Fall; outTr++ {
 		v := timing.TIdx(pid, outTr)
 		if !h.Valid[v] {
@@ -469,8 +462,8 @@ func (t *Timer) backwardEarlyCellOut(pid int32) {
 		}
 		for ai := range g.ArcsInto[pid] {
 			ar := &g.ArcsInto[pid][ai]
-			dl, tl := delayTables(ar.Arc, outTr)
-			for _, inTr := range inputTransitions(ar.Arc.Unate, outTr) {
+			dl, tl := timing.DelayTable(ar.Arc, outTr)
+			for _, inTr := range timing.ArcCombos(ar.Arc.Unate, outTr) {
 				if inTr < 0 {
 					continue
 				}
@@ -479,6 +472,7 @@ func (t *Timer) backwardEarlyCellOut(pid int32) {
 					continue
 				}
 				dv, dDds, dDdl := dl.EvalGrad(h.Slew[u], load)
+				dv, dDds, dDdl = dv*t.derateEarly, dDds*t.derateEarly, dDdl*t.derateEarly
 				sv, dSds, dSdl := tl.EvalGrad(h.Slew[u], load)
 				// Soft-min weights: ∂(−LSE(−·))/∂cand = softmax weight of
 				// the negated candidate.

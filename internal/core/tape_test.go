@@ -18,12 +18,15 @@ func recomputeBackwardCellOut(t *Timer, pid int32) {
 	g := t.G
 	gamma := t.Opts.Gamma
 	netID := g.D.Pins[pid].Net
-	load := t.driverLoadOf(pid)
+	load := 0.0
+	if netID >= 0 && t.Nets[netID].Tree != nil {
+		load = t.Nets[netID].DriverLoad()
+	}
 	eachCand := func(outTr timing.Transition, fn func(u int32, dl, tl float64)) {
 		for ai := range g.ArcsInto[pid] {
 			ar := &g.ArcsInto[pid][ai]
-			dlut, tlut := delayTables(ar.Arc, outTr)
-			for _, inTr := range inputTransitions(ar.Arc.Unate, outTr) {
+			dlut, tlut := timing.DelayTable(ar.Arc, outTr)
+			for _, inTr := range timing.ArcCombos(ar.Arc.Unate, outTr) {
 				if inTr < 0 {
 					continue
 				}
@@ -31,7 +34,7 @@ func recomputeBackwardCellOut(t *Timer, pid int32) {
 				if !t.Valid[u] {
 					continue
 				}
-				fn(u, dlut.Eval(t.Slew[u], load), tlut.Eval(t.Slew[u], load))
+				fn(u, dlut.Eval(t.Slew[u], load)*t.derateLate, tlut.Eval(t.Slew[u], load))
 			}
 		}
 	}
@@ -60,8 +63,8 @@ func recomputeBackwardCellOut(t *Timer, pid int32) {
 		})
 		for ai := range g.ArcsInto[pid] {
 			ar := &g.ArcsInto[pid][ai]
-			dl, tl := delayTables(ar.Arc, outTr)
-			for _, inTr := range inputTransitions(ar.Arc.Unate, outTr) {
+			dl, tl := timing.DelayTable(ar.Arc, outTr)
+			for _, inTr := range timing.ArcCombos(ar.Arc.Unate, outTr) {
 				if inTr < 0 {
 					continue
 				}
@@ -70,6 +73,7 @@ func recomputeBackwardCellOut(t *Timer, pid int32) {
 					continue
 				}
 				dv, dDds, dDdl := dl.EvalGrad(t.Slew[u], load)
+				dv, dDds, dDdl = dv*t.derateLate, dDds*t.derateLate, dDdl*t.derateLate
 				sv, dSds, dSdl := tl.EvalGrad(t.Slew[u], load)
 				wAT := math.Exp((t.AT[u]+dv-atM)/gamma) / atZ
 				wSL := math.Exp((sv-slM)/gamma) / slZ

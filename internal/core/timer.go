@@ -158,8 +158,10 @@ type Timer struct {
 	G    *timing.Graph
 	Opts Options
 
-	// Nets carries the Steiner/RC state; rebuilt every SteinerPeriod
-	// evaluations and coordinate-refreshed otherwise.
+	// Nets carries the Steiner/RC state: refreshed net by net when pins
+	// move beyond RefreshEps, with the FencePeriod re-extraction fence, in
+	// the default incremental mode; rebuilt every SteinerPeriod evaluations
+	// and coordinate-refreshed otherwise.
 	Nets []timing.NetState //dtgp:index domain=net
 
 	// Forward state per (pin, transition) index; smoothed late analysis.
@@ -228,8 +230,6 @@ type Timer struct {
 	netGradSized bool
 
 	// Precomputed structure.
-	netOfSink []int32 //dtgp:index domain=pin elem=net
-	posOfSink []int32 //dtgp:index domain=pin elem=npin
 	// bwdGroups holds, per level, the single-writer units of the reverse
 	// sweep: net-sink pins grouped by net first, then cell-output pins
 	// grouped by cell (the write sets are disjoint: net groups update
@@ -246,10 +246,6 @@ type Timer struct {
 	// dispatch barriers without changing what runs where), and each large
 	// level is dispatched on the pool in cache-sized contiguous tiles.
 	fwdSpans []fwdSpan
-	// Start pins and their constraint-derived AT/slew, fixed per design
-	// (startAT/startSlew are positional companions of startPins).
-	startPins          []int32 //dtgp:index elem=pin
-	startAT, startSlew []float64
 
 	// Stored kernel closures. They are built once in NewTimer and capture
 	// only the receiver; per-call state is passed through the cur* fields,
@@ -287,6 +283,10 @@ type Timer struct {
 
 	clockSlew float64
 	period    float64
+	// derateLate and derateEarly scale setup and hold arc delays (and so
+	// their delay partials) per set_timing_derate, as in the exact STA;
+	// like clockSlew and period they are read once, in NewTimer.
+	derateLate, derateEarly float64
 }
 
 // NewTimer builds a differentiable timer over a timing graph.
@@ -332,39 +332,13 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 		CellGradX:   arena.Make[float64](a, len(g.D.Cells)),
 		CellGradY:   arena.Make[float64](a, len(g.D.Cells)),
 		epStates:    make([]epState, len(g.Endpoints)),
-		clockSlew:   20,
-		period:      math.Inf(1),
-	}
-	if g.Con != nil {
-		t.clockSlew = g.Con.ClockSlew
-		if g.Con.Period > 0 {
-			t.period = g.Con.Period
-		}
-	}
-	t.netOfSink = arena.Make[int32](a, len(g.D.Pins))
-	t.posOfSink = arena.Make[int32](a, len(g.D.Pins))
-	for i := range t.netOfSink {
-		t.netOfSink[i] = -1
-	}
-	d := g.D
-	for ni := range d.Nets {
-		if g.IsClockNet[ni] {
-			continue
-		}
-		net := &d.Nets[ni]
-		if net.Driver < 0 || len(net.Pins) < 2 {
-			continue
-		}
-		for k, pid := range net.Pins {
-			if pid != net.Driver {
-				t.netOfSink[pid] = int32(ni)
-				t.posOfSink[pid] = int32(k)
-			}
-		}
+		clockSlew:   g.ClockSlew(),
+		period:      g.Period(),
+		derateLate:  g.DerateLate(),
+		derateEarly: g.DerateEarly(),
 	}
 	t.buildGroups()
 	t.buildSchedule()
-	t.buildStartPins()
 	t.buildTape()
 	t.buildKernels()
 	if opts.Incremental {
@@ -446,7 +420,7 @@ func (t *Timer) buildGroups() {
 			switch {
 			case g.IsStart[pid]:
 			case g.IsNetSink[pid]:
-				if ni := t.netOfSink[pid]; ni >= 0 {
+				if ni := g.NetOfSink[pid]; ni >= 0 {
 					if netEpoch[ni] != stamp {
 						netEpoch[ni] = stamp
 						netIdxOf[ni] = int32(len(netScratch))
@@ -499,7 +473,7 @@ func (t *Timer) buildGroups() {
 			switch {
 			case g.IsStart[pid]:
 			case g.IsNetSink[pid]:
-				if ni := t.netOfSink[pid]; ni >= 0 {
+				if ni := g.NetOfSink[pid]; ni >= 0 {
 					if netEpoch[ni] != stamp {
 						netEpoch[ni] = stamp
 						netIdxOf[ni] = int32(len(netScratch))
@@ -550,34 +524,6 @@ func (t *Timer) buildSchedule() {
 	}
 }
 
-// buildStartPins caches start pins with their constraint AT/slew: these are
-// placement-independent, so the forward pass only copies them.
-func (t *Timer) buildStartPins() {
-	g := t.G
-	d := g.D
-	for pi := range d.Pins {
-		pid := int32(pi)
-		if !g.IsStart[pid] {
-			continue
-		}
-		var at, slew float64
-		if g.IsClockPin[pid] {
-			at, slew = 0, t.clockSlew
-		} else {
-			cell := &d.Cells[d.Pins[pid].Cell]
-			if g.Con != nil {
-				at = g.Con.InputDelayOf(cell.Name)
-				slew = g.Con.InputSlewOf(cell.Name)
-			} else {
-				slew = 30
-			}
-		}
-		t.startPins = append(t.startPins, pid)
-		t.startAT = append(t.startAT, at)
-		t.startSlew = append(t.startSlew, slew)
-	}
-}
-
 // buildTape lays out the candidate tape in tnode order: every cell-output
 // tnode gets one slot per arc into its pin and input transition the arc's
 // unateness admits, in ArcsInto order. Each distinct arc gets two lutPairs
@@ -596,7 +542,7 @@ func (t *Timer) buildTape() {
 			continue
 		}
 		for _, ar := range g.ArcsInto[pid] {
-			for _, inTr := range inputTransitions(ar.Arc.Unate, outTr) {
+			for _, inTr := range timing.ArcCombos(ar.Arc.Unate, outTr) {
 				if inTr >= 0 {
 					n++
 				}
@@ -619,12 +565,12 @@ func (t *Timer) buildTape() {
 				base = int32(len(t.lutPairs))
 				pairOf[ar.Arc] = base
 				for outTr := timing.Rise; outTr <= timing.Fall; outTr++ {
-					dl, tl := delayTables(ar.Arc, outTr)
+					dl, tl := timing.DelayTable(ar.Arc, outTr)
 					t.lutPairs = append(t.lutPairs, lutPair{dl, tl})
 				}
 			}
 			for outTr := timing.Rise; outTr <= timing.Fall; outTr++ {
-				for _, inTr := range inputTransitions(ar.Arc.Unate, outTr) {
+				for _, inTr := range timing.ArcCombos(ar.Arc.Unate, outTr) {
 					if inTr >= 0 {
 						k := next[outTr]
 						t.candU[k] = timing.TIdx(ar.FromPin, timing.Transition(inTr))
@@ -886,8 +832,9 @@ func (t *Timer) forward() {
 	}
 
 	// Starts.
-	for k, pid := range t.startPins {
-		at, slew := t.startAT[k], t.startSlew[k]
+	g := t.G
+	for k, pid := range g.Starts {
+		at, slew := g.StartAT[k], g.StartSlew[k]
 		for tr := timing.Rise; tr <= timing.Fall; tr++ {
 			ti := timing.TIdx(pid, tr)
 			t.AT[ti], t.HardAT[ti] = at, at
@@ -905,26 +852,27 @@ func (t *Timer) forward() {
 	for _, sp := range t.fwdSpans {
 		if sp.fused {
 			for li := sp.lo; li < sp.hi; li++ {
-				t.curLevel = t.G.Levels[li]
+				t.curLevel = g.Levels[li]
 				t.fwdFn(0, 0, len(t.curLevel))
 			}
 			continue
 		}
-		t.curLevel = t.G.Levels[sp.lo]
+		t.curLevel = g.Levels[sp.lo]
 		parallel.ForGuided(len(t.curLevel), fwdTileGrain, parallel.CostHeavy, t.fwdFn)
 	}
 }
 
-// forwardNetSink applies Eq. 9 per transition. HardAT is the hard
-// (non-smoothed) arrival used only for reporting and is deliberately not
-// differentiated.
+// forwardNetSink applies Eq. 9 per transition, with the late derate on
+// the Elmore delay. HardAT is the hard (non-smoothed) arrival used only for
+// reporting and is deliberately not differentiated.
 //
 //dtgp:hotpath
 //dtgp:forward(netprop)
 //dtgp:nondiff(HardAT)
 //dtgp:index pid=pin
 func (t *Timer) forwardNetSink(pid int32) {
-	ni := t.netOfSink[pid]
+	g := t.G
+	ni := g.NetOfSink[pid]
 	if ni < 0 {
 		return
 	}
@@ -932,9 +880,9 @@ func (t *Timer) forwardNetSink(pid int32) {
 	if ns.Tree == nil {
 		return
 	}
-	driver := t.G.D.Nets[ni].Driver
-	k := int(t.posOfSink[pid])
-	delay := ns.SinkDelay(k)
+	driver := g.D.Nets[ni].Driver
+	k := int(g.PosOfSink[pid])
+	delay := ns.SinkDelay(k) * t.derateLate
 	imp := ns.SinkImpulse(k)
 	for tr := timing.Rise; tr <= timing.Fall; tr++ {
 		u, v := timing.TIdx(driver, tr), timing.TIdx(pid, tr)
@@ -948,8 +896,9 @@ func (t *Timer) forwardNetSink(pid int32) {
 	}
 }
 
-// forwardCellOut applies Eq. 11: LUT delays aggregated with LSE over all
-// (input pin, input transition) candidates, walked through the tape slots.
+// forwardCellOut applies Eq. 11: LUT delays (late-derated) aggregated with
+// LSE over all (input pin, input transition) candidates, walked through the
+// tape slots.
 // Each live candidate's LUTs are evaluated once, with their partials, into
 // its slot; the stable two-pass LSE takes the maxima in the first pass and
 // replaces the slot's candidate values with the LSE numerators in the
@@ -981,6 +930,7 @@ func (t *Timer) forwardCellOut(pid int32) {
 			}
 			lp := &t.lutPairs[t.candLUT[k]]
 			d, dDds, dDdl := lp.delay.EvalGrad(t.Slew[u], load)
+			d, dDds, dDdl = d*t.derateLate, dDds*t.derateLate, dDdl*t.derateLate
 			s, dSds, dSdl := lp.trans.EvalGrad(t.Slew[u], load)
 			t.candDDs[k], t.candDDl[k] = dDds, dDdl
 			t.candDSs[k], t.candDSl[k] = dSds, dSdl
@@ -1017,36 +967,6 @@ func (t *Timer) forwardCellOut(pid int32) {
 		t.atZ[v], t.slZ[v] = atZ, slZ
 		t.Valid[v] = true
 	}
-}
-
-//dtgp:hotpath
-func delayTables(arc *liberty.TimingArc, out timing.Transition) (delay, trans *liberty.LUT) {
-	if out == timing.Rise {
-		return arc.CellRise, arc.RiseTransition
-	}
-	return arc.CellFall, arc.FallTransition
-}
-
-//dtgp:hotpath
-func inputTransitions(u liberty.Unateness, out timing.Transition) [2]int8 {
-	switch u {
-	case liberty.PositiveUnate:
-		return [2]int8{int8(out), -1}
-	case liberty.NegativeUnate:
-		return [2]int8{int8(1 - out), -1}
-	default:
-		return [2]int8{0, 1}
-	}
-}
-
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (t *Timer) driverLoadOf(pid int32) float64 {
-	net := t.G.D.Pins[pid].Net
-	if net < 0 || t.Nets[net].Tree == nil {
-		return 0
-	}
-	return t.Nets[net].DriverLoad()
 }
 
 // ---------------------------------------------------------------------------
@@ -1171,7 +1091,7 @@ func (t *Timer) objective(t1, t2 float64, seed bool) (float64, bool) {
 				// slack = RAT − AT with RAT = T − setup(clockSlew, Slew).
 				t.gAT[ti] -= dfds
 				if ep.Kind == timing.EndFFData && ep.Setup != nil {
-					lut := constraintTable(ep.Setup.Arc, tr)
+					lut := timing.ConstraintTable(ep.Setup.Arc, tr)
 					_, _, dRdSlew := lut.EvalGrad(t.clockSlew, t.Slew[ti])
 					t.gSlew[ti] -= dRdSlew * dfds
 				}
@@ -1194,7 +1114,7 @@ func (t *Timer) requiredAt(ep *timing.Endpoint, tr timing.Transition, ti int32) 
 		if ep.Setup == nil {
 			return 0, false
 		}
-		lut := constraintTable(ep.Setup.Arc, tr)
+		lut := timing.ConstraintTable(ep.Setup.Arc, tr)
 		return t.period - lut.Eval(t.clockSlew, t.Slew[ti]), true
 	default:
 		od := 0.0
@@ -1203,14 +1123,6 @@ func (t *Timer) requiredAt(ep *timing.Endpoint, tr timing.Transition, ti int32) 
 		}
 		return t.period - od, true
 	}
-}
-
-//dtgp:hotpath
-func constraintTable(arc *liberty.TimingArc, dataTr timing.Transition) *liberty.LUT {
-	if dataTr == timing.Rise {
-		return arc.RiseConstraint
-	}
-	return arc.FallConstraint
 }
 
 // backward seeds endpoint gradients and sweeps the levels in reverse,
@@ -1318,13 +1230,14 @@ func allZero(v []float64) bool {
 //dtgp:backward(netprop)
 //dtgp:index pid=pin
 func (t *Timer) backwardNetSink(pid int32) {
-	ni := t.netOfSink[pid]
+	g := t.G
+	ni := g.NetOfSink[pid]
 	if ni < 0 || t.Nets[ni].Tree == nil {
 		return
 	}
 	ns := &t.Nets[ni]
-	driver := t.G.D.Nets[ni].Driver
-	node := ns.Node[t.posOfSink[pid]]
+	driver := g.D.Nets[ni].Driver
+	node := ns.Node[g.PosOfSink[pid]]
 	for tr := timing.Rise; tr <= timing.Fall; tr++ {
 		u, v := timing.TIdx(driver, tr), timing.TIdx(pid, tr)
 		if !t.Valid[v] || !t.Valid[u] {
@@ -1334,9 +1247,9 @@ func (t *Timer) backwardNetSink(pid int32) {
 		if gat == 0 && gsl == 0 {
 			continue
 		}
-		// Eq. 10a/10b.
+		// Eq. 10a/10b, chained through the derate on the delay.
 		t.gAT[u] += gat
-		t.gDelayNode[ni][node] += gat
+		t.gDelayNode[ni][node] += gat * t.derateLate
 		// Eq. 10c/10d; Slew(v) ≥ Slew(u) > 0 for valid pins, but guard
 		// against a degenerate zero slew anyway.
 		if sv := t.Slew[v]; sv > 1e-9 {

@@ -22,20 +22,43 @@ func makeTestBed(t *testing.T, cells int, seed int64) *timing.Graph {
 	return g
 }
 
+// derateCases are the set_timing_derate settings the smoothed-vs-exact and
+// gradient tests run at: none, and late/early factors a timer ignoring the
+// derate would fail.
+var derateCases = []struct {
+	name        string
+	late, early float64
+}{
+	{"derate1", 1, 1},
+	{"derated", 1.2, 0.9},
+}
+
+// derateTestBed is makeTestBed with the case's derates set before any
+// timer reads the constraints.
+func derateTestBed(t *testing.T, cells int, seed int64, late, early float64) *timing.Graph {
+	g := makeTestBed(t, cells, seed)
+	g.Con.DerateLate, g.Con.DerateEarly = late, early
+	return g
+}
+
 func TestTimerSmoothedTracksExact(t *testing.T) {
-	g := makeTestBed(t, 400, 21)
-	// Tiny γ → the smoothed engine degenerates to exact max/min.
-	tm := NewTimer(g, Options{Gamma: 0.01, SteinerPeriod: 10})
-	tm.Evaluate(1, 1)
-	exact := tm.ExactResult()
-	if math.Abs(tm.EstWNS-exact.WNS) > 2 {
-		t.Errorf("hard-estimate WNS %v far from exact %v", tm.EstWNS, exact.WNS)
-	}
-	if relDiff(tm.EstTNS, exact.TNS) > 0.05 {
-		t.Errorf("hard-estimate TNS %v far from exact %v", tm.EstTNS, exact.TNS)
-	}
-	if math.Abs(tm.SmWNS-exact.WNS) > 5 {
-		t.Errorf("smoothed WNS %v far from exact %v at γ=0.01", tm.SmWNS, exact.WNS)
+	for _, dc := range derateCases {
+		t.Run(dc.name, func(t *testing.T) {
+			g := derateTestBed(t, 400, 21, dc.late, dc.early)
+			// Tiny γ → the smoothed engine degenerates to exact max/min.
+			tm := NewTimer(g, Options{Gamma: 0.01, SteinerPeriod: 10})
+			tm.Evaluate(1, 1)
+			exact := tm.ExactResult()
+			if math.Abs(tm.EstWNS-exact.WNS) > 2 {
+				t.Errorf("hard-estimate WNS %v far from exact %v", tm.EstWNS, exact.WNS)
+			}
+			if relDiff(tm.EstTNS, exact.TNS) > 0.05 {
+				t.Errorf("hard-estimate TNS %v far from exact %v", tm.EstTNS, exact.TNS)
+			}
+			if math.Abs(tm.SmWNS-exact.WNS) > 5 {
+				t.Errorf("smoothed WNS %v far from exact %v at γ=0.01", tm.SmWNS, exact.WNS)
+			}
+		})
 	}
 }
 
@@ -120,7 +143,14 @@ func TestGradientZeroForFixedOnlyMotion(t *testing.T) {
 // the Steiner topology held fixed (which is exactly the regime the gradient
 // is defined in, §3.6).
 func TestTimerGradientFiniteDifference(t *testing.T) {
-	g := makeTestBed(t, 150, 26)
+	for _, dc := range derateCases {
+		t.Run(dc.name, func(t *testing.T) {
+			checkGradientFD(t, derateTestBed(t, 150, 26, dc.late, dc.early))
+		})
+	}
+}
+
+func checkGradientFD(t *testing.T, g *timing.Graph) {
 	d := g.D
 	// Large SteinerPeriod: topology built once, probes use the refresh
 	// path.
@@ -278,7 +308,14 @@ func TestTimerString(t *testing.T) {
 // extension end to end, exactly like the setup-path check: analytic
 // ∂f/∂(cell position) of the hold objective vs central finite differences.
 func TestHoldGradientFiniteDifference(t *testing.T) {
-	g := makeTestBed(t, 150, 33)
+	for _, dc := range derateCases {
+		t.Run(dc.name, func(t *testing.T) {
+			checkHoldGradientFD(t, derateTestBed(t, 150, 33, dc.late, dc.early))
+		})
+	}
+}
+
+func checkHoldGradientFD(t *testing.T, g *timing.Graph) {
 	d := g.D
 	tm := NewTimer(g, Options{Gamma: 300, SteinerPeriod: 1 << 30})
 	// Large γ keeps softneg unsaturated even at positive hold slacks, so

@@ -104,6 +104,22 @@ type Graph struct {
 	// SinkCap[p] is the capacitance a net sees at sink pin p: library
 	// input-pin capacitance, or the SDC load for output ports.
 	SinkCap []float64 //dtgp:index domain=pin
+
+	// NetOfSink[p] is the net whose arc times sink pin p, -1 when p is not
+	// the sink of a timed net; PosOfSink[p] is p's position in that net's
+	// pin list. A net is timed unless it is a clock net, undriven, or has
+	// fewer than two pins — exactly the nets whose NetState.Tree is nil by
+	// construction (buildNetStateInto), so the table needs no placement.
+	NetOfSink []int32 //dtgp:index domain=pin elem=net
+	PosOfSink []int32 //dtgp:index domain=pin elem=npin
+	// EndpointOf[p] is the index of the endpoint at pin p, or -1.
+	EndpointOf []int32 //dtgp:index domain=pin elem=endp
+	// Starts lists the start pins in ascending pin order; StartAT and
+	// StartSlew are their fixed arrival and slew, positional with Starts:
+	// the SDC input delay and slew at primary inputs (0 and 30 without
+	// constraints), 0 and the clock slew (default 20) at clock pins.
+	Starts             []int32 //dtgp:index elem=pin
+	StartAT, StartSlew []float64
 }
 
 // NewGraph builds the timing graph for a design under constraints.
@@ -123,6 +139,9 @@ func NewGraph(d *netlist.Design, con *sdc.Constraints) (*Graph, error) {
 		IsCellOut:  make([]bool, nPins),
 		Level:      make([]int32, nPins),
 		SinkCap:    make([]float64, nPins),
+		NetOfSink:  make([]int32, nPins),
+		PosOfSink:  make([]int32, nPins),
+		EndpointOf: make([]int32, nPins),
 	}
 
 	// Classify pins.
@@ -216,12 +235,32 @@ func NewGraph(d *netlist.Design, con *sdc.Constraints) (*Graph, error) {
 		}
 	}
 	for pi := range d.Pins {
-		if g.IsClockPin[pi] {
-			g.IsStart[int32(pi)] = true
+		pid := int32(pi)
+		if g.IsClockPin[pid] {
+			g.IsStart[pid] = true
 		}
+		if !g.IsStart[pid] {
+			continue
+		}
+		var at, slew float64
+		switch {
+		case g.IsClockPin[pid]:
+			slew = g.ClockSlew()
+		case con != nil:
+			name := d.Cells[d.Pins[pid].Cell].Name
+			at, slew = con.InputDelayOf(name), con.InputSlewOf(name)
+		default:
+			slew = 30
+		}
+		g.Starts = append(g.Starts, pid)
+		g.StartAT = append(g.StartAT, at)
+		g.StartSlew = append(g.StartSlew, slew)
 	}
 
-	// Net sinks on non-clock nets.
+	// Net sinks on non-clock nets, and the sink locator of timed nets.
+	for i := range g.NetOfSink {
+		g.NetOfSink[i] = -1
+	}
 	for ni := range d.Nets {
 		if g.IsClockNet[ni] {
 			continue
@@ -230,9 +269,14 @@ func NewGraph(d *netlist.Design, con *sdc.Constraints) (*Graph, error) {
 		if net.Driver < 0 {
 			continue
 		}
-		for _, pid := range net.Pins {
-			if pid != net.Driver {
-				g.IsNetSink[pid] = true
+		for k, pid := range net.Pins {
+			if pid == net.Driver {
+				continue
+			}
+			g.IsNetSink[pid] = true
+			if len(net.Pins) >= 2 {
+				g.NetOfSink[pid] = int32(ni)
+				g.PosOfSink[pid] = int32(k)
 			}
 		}
 	}
@@ -263,6 +307,13 @@ func NewGraph(d *netlist.Design, con *sdc.Constraints) (*Graph, error) {
 		if d.Pins[pid].Dir == netlist.PinInput && d.Pins[pid].Net >= 0 && !g.IsClockNet[d.Pins[pid].Net] {
 			g.Endpoints = append(g.Endpoints, Endpoint{Pin: pid, Kind: EndPort, PortName: cell.Name})
 		}
+	}
+
+	for i := range g.EndpointOf {
+		g.EndpointOf[i] = -1
+	}
+	for ei := range g.Endpoints {
+		g.EndpointOf[g.Endpoints[ei].Pin] = int32(ei)
 	}
 
 	if err := g.levelize(); err != nil {
@@ -369,4 +420,69 @@ func (g *Graph) Period() float64 {
 		return inf
 	}
 	return g.Con.Period
+}
+
+// ClockSlew returns the ideal clock's slew at register clock pins, the
+// slew setup and hold constraints are looked up at (20 unconstrained).
+func (g *Graph) ClockSlew() float64 {
+	if g.Con == nil {
+		return 20
+	}
+	return g.Con.ClockSlew
+}
+
+// DerateLate returns the set_timing_derate factor on late arc delays (1
+// when unset). Like Period it is read from the constraints on every call,
+// not frozen at NewGraph.
+func (g *Graph) DerateLate() float64 {
+	if g.Con == nil || g.Con.DerateLate <= 0 {
+		return 1
+	}
+	return g.Con.DerateLate
+}
+
+// DerateEarly returns the set_timing_derate factor on early arc delays,
+// read like DerateLate.
+func (g *Graph) DerateEarly() float64 {
+	if g.Con == nil || g.Con.DerateEarly <= 0 {
+		return 1
+	}
+	return g.Con.DerateEarly
+}
+
+// DelayTable returns the delay and output-transition LUTs of a cell arc
+// for the given output transition.
+//
+//dtgp:hotpath
+func DelayTable(arc *liberty.TimingArc, out Transition) (delay, trans *liberty.LUT) {
+	if out == Rise {
+		return arc.CellRise, arc.RiseTransition
+	}
+	return arc.CellFall, arc.FallTransition
+}
+
+// ArcCombos returns the input transitions that feed an output transition
+// under the arc's unateness; -1 marks an unused slot.
+//
+//dtgp:hotpath
+func ArcCombos(u liberty.Unateness, out Transition) [2]int8 {
+	switch u {
+	case liberty.PositiveUnate:
+		return [2]int8{int8(out), -1}
+	case liberty.NegativeUnate:
+		return [2]int8{int8(1 - out), -1}
+	default:
+		return [2]int8{0, 1}
+	}
+}
+
+// ConstraintTable returns the setup or hold constraint LUT of a check arc
+// for the given data transition.
+//
+//dtgp:hotpath
+func ConstraintTable(arc *liberty.TimingArc, dataTr Transition) *liberty.LUT {
+	if dataTr == Rise {
+		return arc.RiseConstraint
+	}
+	return arc.FallConstraint
 }

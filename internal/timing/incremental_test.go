@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -116,9 +117,21 @@ func TestIncrementalNoMoveNoChange(t *testing.T) {
 // TestIncrementalRATMatchesFull: with Epsilon 0 the maintained required
 // times, per-pin slacks and WNS/TNS must be bit-identical to a from-scratch
 // analysis over the same interconnect state after every move batch — the
-// contract the incremental net-weighting path in the placer relies on.
+// contract the incremental net-weighting path in the placer relies on. It
+// runs with and without a late derate, so a kernel that dropped the derate
+// on one side fails.
 func TestIncrementalRATMatchesFull(t *testing.T) {
-	g, inc := incBed(t, 400, 56)
+	for _, derate := range []float64{1, 1.07} {
+		t.Run(fmt.Sprintf("derate%g", derate), func(t *testing.T) {
+			g, _ := incBed(t, 400, 56)
+			g.Con.DerateLate = derate
+			checkIncrementalMatchesFull(t, g)
+		})
+	}
+}
+
+func checkIncrementalMatchesFull(t *testing.T, g *Graph) {
+	inc := NewIncremental(g)
 	inc.Epsilon = 0
 	d := g.D
 	rng := rand.New(rand.NewSource(2))

@@ -36,9 +36,6 @@ type pathEnum struct {
 	// being materialised; 0 (the canonical worst predecessor) when the
 	// entry carries no deviation for that node. Reset after each use.
 	devIdx []int32 //dtgp:index domain=tnode
-	// netOf/posOf locate each sink pin's net state (computed once).
-	netOf []int32 //dtgp:index domain=pin elem=net
-	posOf []int32 //dtgp:index domain=pin elem=npin
 }
 
 // newPathEnum sizes the slice-indexed enumeration state for one result.
@@ -50,7 +47,6 @@ func newPathEnum(r *Result) *pathEnum {
 		haveCands: make([]bool, n2),
 		devIdx:    make([]int32, n2),
 	}
-	pe.netOf, pe.posOf = r.sinkLocator()
 	return pe
 }
 
@@ -71,21 +67,21 @@ func (pe *pathEnum) candidatesOf(t int32) []candidate {
 	case g.IsStart[pid]:
 		// no fan-in
 	case g.IsNetSink[pid]:
-		if ni := pe.netOf[pid]; ni >= 0 {
+		if ni := g.NetOfSink[pid]; ni >= 0 && r.Nets[ni].Tree != nil {
 			ns := &r.Nets[ni]
 			driver := g.D.Nets[ni].Driver
 			u := TIdx(driver, tr)
 			if r.Valid[u] {
-				d := ns.SinkDelay(int(pe.posOf[pid])) * r.derateLate
+				d := ns.SinkDelay(int(g.PosOfSink[pid])) * r.sta.derate
 				cs = append(cs, candidate{pred: u, arrival: r.ATLate[u] + d, delay: d})
 			}
 		}
 	case g.IsCellOut[pid]:
-		load := r.driverLoadOf(pid)
+		load := r.sta.load(pid)
 		for ai := range g.ArcsInto[pid] {
 			ar := &g.ArcsInto[pid][ai]
-			dl, _ := delayTable(ar.Arc, tr)
-			for _, inTrRaw := range arcCombos(ar.Arc.Unate, tr) {
+			dl, _ := DelayTable(ar.Arc, tr)
+			for _, inTrRaw := range ArcCombos(ar.Arc.Unate, tr) {
 				if inTrRaw < 0 {
 					continue
 				}
@@ -93,7 +89,7 @@ func (pe *pathEnum) candidatesOf(t int32) []candidate {
 				if !r.Valid[u] {
 					continue
 				}
-				d := dl.Eval(r.SlewLate[u], load) * r.derateLate
+				d := dl.Eval(r.SlewLate[u], load) * r.sta.derate
 				cs = append(cs, candidate{pred: u, arrival: r.ATLate[u] + d, delay: d})
 			}
 		}

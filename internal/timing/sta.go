@@ -3,8 +3,6 @@ package timing
 import (
 	"math"
 
-	"dtgp/internal/liberty"
-	"dtgp/internal/netlist"
 	"dtgp/internal/parallel"
 )
 
@@ -33,8 +31,8 @@ type Result struct {
 	EndpointSetup []float64 //dtgp:index domain=endp
 	EndpointHold  []float64 //dtgp:index domain=endp
 
-	// derateLate and derateEarly scale arc delays per set_timing_derate.
-	derateLate, derateEarly float64
+	// sta is the kernel state the arrays above alias.
+	sta exactSTA
 
 	// Setup metrics (the paper's WNS/TNS, Eq. 2): WNS is the minimum
 	// endpoint slack, TNS sums negative endpoint slacks.
@@ -53,7 +51,8 @@ func Analyze(g *Graph) *Result {
 
 // AnalyzeWithNets runs exact STA on pre-built (and already Forward-ed) net
 // states, so callers that maintain Steiner trees incrementally can reuse
-// them.
+// them. It runs the exactSTA kernels, late and early side together, in one
+// level-parallel sweep in each direction.
 func AnalyzeWithNets(g *Graph, nets []NetState) *Result {
 	n2 := 2 * len(g.D.Pins)
 	r := &Result{
@@ -68,429 +67,75 @@ func AnalyzeWithNets(g *Graph, nets []NetState) *Result {
 		RATEarly:      make([]float64, n2),
 		PredLate:      make([]int32, n2),
 		PredDelayLate: make([]float64, n2),
-		derateLate:    1,
-		derateEarly:   1,
+		EndpointSetup: make([]float64, len(g.Endpoints)),
+		EndpointHold:  make([]float64, len(g.Endpoints)),
 	}
-	if g.Con != nil {
-		if g.Con.DerateLate > 0 {
-			r.derateLate = g.Con.DerateLate
-		}
-		if g.Con.DerateEarly > 0 {
-			r.derateEarly = g.Con.DerateEarly
-		}
+	r.sta = exactSTA{
+		g: g, nets: nets,
+		at: r.ATLate, slew: r.SlewLate, valid: r.Valid, rat: r.RATLate,
+		pred: r.PredLate, predDelay: r.PredDelayLate, endpointSlack: r.EndpointSetup,
+		early: &earlySTA{at: r.ATEarly, slew: r.SlewEarly, rat: r.RATEarly},
 	}
-	for i := 0; i < n2; i++ {
-		r.ATLate[i] = -inf
-		r.ATEarly[i] = inf
-		r.RATLate[i] = inf
-		r.RATEarly[i] = -inf
-		r.PredLate[i] = -1
+	s := &r.sta
+	s.reset()
+
+	// Arrivals, lowest level first: a pin's fanins sit at strictly smaller
+	// levels, so they are final when it is evaluated, and pins within one
+	// level are independent. Each pin evaluates several LUT lookups, so
+	// even short levels are worth fanning out (CostHeavy).
+	for _, level := range g.Levels {
+		level := level
+		parallel.ForCost(len(level), parallel.CostHeavy, func(i int) { s.arrive(level[i], 0) })
 	}
-	r.propagateArrival()
-	r.propagateRequired()
-	r.computeSlacks()
+
+	// Required times, highest level first (fanouts sit at strictly greater
+	// levels). The kernel computes setup seeds itself; hold seeds are
+	// written up front.
+	r.seedHold()
+	for li := len(g.Levels) - 1; li >= 0; li-- {
+		level := g.Levels[li]
+		parallel.ForCost(len(level), parallel.CostHeavy, func(i int) { s.require(level[i], 0) })
+	}
+
+	r.WNS, r.TNS = s.slacks()
+	r.holdSlacks()
 	return r
 }
 
-// sinkLocator precomputes, for every net-sink pin, its net state index and
-// its position within the net's pin list.
-//
-//dtgp:index return=pin[]net return2=pin[]npin
-func (r *Result) sinkLocator() (netOf, posOf []int32) {
-	d := r.G.D
-	netOf = make([]int32, len(d.Pins))
-	posOf = make([]int32, len(d.Pins))
-	for i := range netOf {
-		netOf[i] = -1
-	}
-	for ni := range r.Nets {
-		ns := &r.Nets[ni]
-		if ns.Tree == nil {
-			continue
-		}
-		for k, pid := range d.Nets[ni].Pins {
-			if pid != d.Nets[ni].Driver {
-				netOf[pid] = int32(ni)
-				posOf[pid] = int32(k)
-			}
-		}
-	}
-	return netOf, posOf
-}
-
-func (r *Result) propagateArrival() {
+// seedHold writes the hold required time at register data pins with a hold
+// check: the hold constraint at the early data slew.
+func (r *Result) seedHold() {
 	g := r.G
-	d := g.D
-	con := g.Con
-	netOf, posOf := r.sinkLocator()
-
-	// Starts: primary inputs and (ideal) clock pins.
-	for pi := range d.Pins {
-		pid := int32(pi)
-		if !g.IsStart[pid] {
-			continue
-		}
-		var at, slew float64
-		if g.IsClockPin[pid] {
-			at = 0
-			slew = 20
-			if con != nil {
-				slew = con.ClockSlew
-			}
-		} else {
-			cell := &d.Cells[d.Pins[pid].Cell]
-			if con != nil {
-				at = con.InputDelayOf(cell.Name)
-				slew = con.InputSlewOf(cell.Name)
-			} else {
-				slew = 30
-			}
-		}
-		for tr := Rise; tr <= Fall; tr++ {
-			t := TIdx(pid, tr)
-			r.ATLate[t], r.ATEarly[t] = at, at
-			r.SlewLate[t], r.SlewEarly[t] = slew, slew
-			r.Valid[t] = true
-		}
-	}
-
-	// Each pin evaluates multiple LUT lookups, so even short levels are
-	// worth fanning out (CostHeavy in the dispatch cost model).
-	for _, level := range g.Levels {
-		level := level
-		parallel.ForCost(len(level), parallel.CostHeavy, func(i int) {
-			pid := level[i]
-			switch {
-			case g.IsStart[pid]:
-				// already initialised
-			case g.IsNetSink[pid]:
-				r.propNetSink(pid, netOf[pid], posOf[pid])
-			case g.IsCellOut[pid]:
-				r.propCellOut(pid)
-			}
-		})
-	}
-}
-
-// propNetSink applies the net arc (Eq. 9): AT(v) = AT(u) + Delay(v),
-// Slew(v) = sqrt(Slew(u)² + Impulse(v)²).
-//
-//dtgp:hotpath
-//dtgp:index pid=pin ni=net pos=npin
-func (r *Result) propNetSink(pid, ni, pos int32) {
-	if ni < 0 {
-		return
-	}
-	ns := &r.Nets[ni]
-	driver := r.G.D.Nets[ni].Driver
-	delay := ns.SinkDelay(int(pos))
-	imp := ns.SinkImpulse(int(pos))
-	dLate := delay * r.derateLate
-	dEarly := delay * r.derateEarly
-	for tr := Rise; tr <= Fall; tr++ {
-		u, v := TIdx(driver, tr), TIdx(pid, tr)
-		if !r.Valid[u] {
-			continue
-		}
-		r.ATLate[v] = r.ATLate[u] + dLate
-		r.ATEarly[v] = r.ATEarly[u] + dEarly
-		r.SlewLate[v] = math.Sqrt(r.SlewLate[u]*r.SlewLate[u] + imp*imp)
-		r.SlewEarly[v] = math.Sqrt(r.SlewEarly[u]*r.SlewEarly[u] + imp*imp)
-		r.Valid[v] = true
-		r.PredLate[v] = u
-		r.PredDelayLate[v] = dLate
-	}
-}
-
-// arcCombos returns the input transitions feeding an output transition
-// under the arc's unateness.
-//
-//dtgp:hotpath
-func arcCombos(u liberty.Unateness, out Transition) [2]int8 {
-	// Returned entries are input transitions; -1 marks unused slots.
-	switch u {
-	case liberty.PositiveUnate:
-		return [2]int8{int8(out), -1}
-	case liberty.NegativeUnate:
-		return [2]int8{int8(1 - out), -1}
-	default:
-		return [2]int8{0, 1}
-	}
-}
-
-// delayTable returns the delay and transition LUTs producing the given
-// output transition.
-//
-//dtgp:hotpath
-func delayTable(arc *liberty.TimingArc, out Transition) (delay, trans *liberty.LUT) {
-	if out == Rise {
-		return arc.CellRise, arc.RiseTransition
-	}
-	return arc.CellFall, arc.FallTransition
-}
-
-// driverLoadOf returns the capacitive load on an output pin's net.
-//
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (r *Result) driverLoadOf(pid int32) float64 {
-	net := r.G.D.Pins[pid].Net
-	if net < 0 || r.Nets[net].Tree == nil {
-		return 0
-	}
-	return r.Nets[net].DriverLoad()
-}
-
-// propCellOut applies all cell arcs into an output pin (Eq. 11 with exact
-// max/min instead of LSE).
-//
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (r *Result) propCellOut(pid int32) {
-	g := r.G
-	load := r.driverLoadOf(pid)
-	for outTr := Rise; outTr <= Fall; outTr++ {
-		v := TIdx(pid, outTr)
-		bestLate, bestEarly := -inf, inf
-		slewLate, slewEarly := -inf, inf
-		var pred int32 = -1
-		var predDelay float64
-		for ai := range g.ArcsInto[pid] {
-			ar := &g.ArcsInto[pid][ai]
-			dl, tl := delayTable(ar.Arc, outTr)
-			for _, inTrRaw := range arcCombos(ar.Arc.Unate, outTr) {
-				if inTrRaw < 0 {
-					continue
-				}
-				u := TIdx(ar.FromPin, Transition(inTrRaw))
-				if !r.Valid[u] {
-					continue
-				}
-				dLate := dl.Eval(r.SlewLate[u], load) * r.derateLate
-				dEarly := dl.Eval(r.SlewEarly[u], load) * r.derateEarly
-				if at := r.ATLate[u] + dLate; at > bestLate {
-					bestLate = at
-					pred = u
-					predDelay = dLate
-				}
-				if at := r.ATEarly[u] + dEarly; at < bestEarly {
-					bestEarly = at
-				}
-				if s := tl.Eval(r.SlewLate[u], load); s > slewLate {
-					slewLate = s
-				}
-				if s := tl.Eval(r.SlewEarly[u], load); s < slewEarly {
-					slewEarly = s
-				}
-			}
-		}
-		if pred < 0 {
-			continue
-		}
-		// The library's max-transition design rule caps propagated slews in
-		// both modes.
-		if maxTr := r.maxTransition(); slewLate > maxTr {
-			slewLate = maxTr
-		}
-		if maxTr := r.maxTransition(); slewEarly > maxTr {
-			slewEarly = maxTr
-		}
-		r.ATLate[v], r.ATEarly[v] = bestLate, bestEarly
-		r.SlewLate[v], r.SlewEarly[v] = slewLate, slewEarly
-		r.Valid[v] = true
-		r.PredLate[v] = pred
-		r.PredDelayLate[v] = predDelay
-	}
-}
-
-func (r *Result) maxTransition() float64 {
-	if mt := r.G.D.Lib.DefaultMaxTransition; mt > 0 {
-		return mt
-	}
-	return inf
-}
-
-// propagateRequired seeds endpoint required times and pulls them backward
-// level by level (setup/late uses min-aggregation, hold/early uses max).
-func (r *Result) propagateRequired() {
-	g := r.G
-	period := g.Period()
-
 	for ei := range g.Endpoints {
 		ep := &g.Endpoints[ei]
-		switch ep.Kind {
-		case EndFFData:
-			if ep.Setup != nil {
-				clkSlew := 20.0
-				if g.Con != nil {
-					clkSlew = g.Con.ClockSlew
-				}
-				for tr := Rise; tr <= Fall; tr++ {
-					t := TIdx(ep.Pin, tr)
-					if !r.Valid[t] {
-						continue
-					}
-					con := constraintTable(ep.Setup.Arc, tr)
-					r.RATLate[t] = period - con.Eval(clkSlew, r.SlewLate[t])
-				}
-			}
-			if ep.Hold != nil {
-				clkSlew := 20.0
-				if g.Con != nil {
-					clkSlew = g.Con.ClockSlew
-				}
-				for tr := Rise; tr <= Fall; tr++ {
-					t := TIdx(ep.Pin, tr)
-					if !r.Valid[t] {
-						continue
-					}
-					con := constraintTable(ep.Hold.Arc, tr)
-					r.RATEarly[t] = con.Eval(clkSlew, r.SlewEarly[t])
-				}
-			}
-		case EndPort:
-			od := 0.0
-			if g.Con != nil {
-				od = g.Con.OutputDelayOf(ep.PortName)
-			}
-			for tr := Rise; tr <= Fall; tr++ {
-				t := TIdx(ep.Pin, tr)
-				if r.Valid[t] {
-					r.RATLate[t] = period - od
-				}
-			}
-		}
-	}
-
-	// Backward pull, highest level first: a pin's fanouts all sit at
-	// strictly greater levels, so their RATs are final by the time the pin
-	// is processed, and pins within one level are independent.
-	for li := len(g.Levels) - 1; li >= 0; li-- {
-		level := g.Levels[li]
-		parallel.ForCost(len(level), parallel.CostHeavy, func(i int) {
-			r.pullRequired(level[i])
-		})
-	}
-}
-
-// pullRequired updates RAT of pin u from its fanouts.
-//
-//dtgp:hotpath
-//dtgp:index u=pin
-func (r *Result) pullRequired(u int32) {
-	g := r.G
-	d := g.D
-	pin := &d.Pins[u]
-
-	// Fanout via net (u is a driver).
-	if pin.Dir == netlist.PinOutput && pin.Net >= 0 && !g.IsClockNet[pin.Net] {
-		ns := &r.Nets[pin.Net]
-		if ns.Tree != nil {
-			for k, pid := range d.Nets[pin.Net].Pins {
-				if pid == u {
-					continue
-				}
-				delay := ns.SinkDelay(k)
-				for tr := Rise; tr <= Fall; tr++ {
-					ut, vt := TIdx(u, tr), TIdx(pid, tr)
-					if !r.Valid[vt] {
-						continue
-					}
-					if v := r.RATLate[vt] - delay*r.derateLate; v < r.RATLate[ut] {
-						r.RATLate[ut] = v
-					}
-					if v := r.RATEarly[vt] - delay*r.derateEarly; v > r.RATEarly[ut] {
-						r.RATEarly[ut] = v
-					}
-				}
-			}
-		}
-	}
-
-	// Fanout via cell arcs (u is a cell input).
-	cell := &d.Cells[pin.Cell]
-	if cell.Lib < 0 {
-		return
-	}
-	lc := &d.Lib.Cells[cell.Lib]
-	for ai := range lc.Arcs {
-		arc := &lc.Arcs[ai]
-		if arc.IsCheck() || cell.Pins[arc.From] != u {
+		if ep.Kind != EndFFData || ep.Hold == nil {
 			continue
 		}
-		vPin := cell.Pins[arc.To]
-		load := r.driverLoadOf(vPin)
-		for outTr := Rise; outTr <= Fall; outTr++ {
-			vt := TIdx(vPin, outTr)
-			if !r.Valid[vt] {
-				continue
-			}
-			dl, _ := delayTable(arc, outTr)
-			for _, inTrRaw := range arcCombos(arc.Unate, outTr) {
-				if inTrRaw < 0 {
-					continue
-				}
-				ut := TIdx(u, Transition(inTrRaw))
-				if !r.Valid[ut] {
-					continue
-				}
-				if v := r.RATLate[vt] - dl.Eval(r.SlewLate[ut], load)*r.derateLate; v < r.RATLate[ut] {
-					r.RATLate[ut] = v
-				}
-				if v := r.RATEarly[vt] - dl.Eval(r.SlewEarly[ut], load)*r.derateEarly; v > r.RATEarly[ut] {
-					r.RATEarly[ut] = v
-				}
+		for tr := Rise; tr <= Fall; tr++ {
+			if t := TIdx(ep.Pin, tr); r.Valid[t] {
+				r.RATEarly[t] = ConstraintTable(ep.Hold.Arc, tr).Eval(r.sta.clkSlew, r.SlewEarly[t])
 			}
 		}
 	}
 }
 
-//dtgp:hotpath
-func constraintTable(arc *liberty.TimingArc, dataTr Transition) *liberty.LUT {
-	if dataTr == Rise {
-		return arc.RiseConstraint
-	}
-	return arc.FallConstraint
-}
-
-// computeSlacks derives endpoint slacks and the WNS/TNS metrics (Eq. 2).
-func (r *Result) computeSlacks() {
+// holdSlacks derives endpoint hold slacks and the hold WNS/TNS.
+func (r *Result) holdSlacks() {
 	g := r.G
-	r.EndpointSetup = make([]float64, len(g.Endpoints))
-	r.EndpointHold = make([]float64, len(g.Endpoints))
-	r.WNS, r.TNS = inf, 0
 	r.WNSHold, r.TNSHold = inf, 0
-	anySetup, anyHold := false, false
+	anyHold := false
 	for ei := range g.Endpoints {
-		ep := &g.Endpoints[ei]
-		setup, hold := inf, inf
+		hold := inf
 		for tr := Rise; tr <= Fall; tr++ {
-			t := TIdx(ep.Pin, tr)
-			if !r.Valid[t] {
+			t := TIdx(g.Endpoints[ei].Pin, tr)
+			if !r.Valid[t] || math.IsInf(r.RATEarly[t], -1) {
 				continue
 			}
-			if !math.IsInf(r.RATLate[t], 1) {
-				if s := r.RATLate[t] - r.ATLate[t]; s < setup {
-					setup = s
-				}
-			}
-			if !math.IsInf(r.RATEarly[t], -1) {
-				if s := r.ATEarly[t] - r.RATEarly[t]; s < hold {
-					hold = s
-				}
+			if s := r.ATEarly[t] - r.RATEarly[t]; s < hold {
+				hold = s
 			}
 		}
-		r.EndpointSetup[ei] = setup
 		r.EndpointHold[ei] = hold
-		if !math.IsInf(setup, 1) {
-			anySetup = true
-			if setup < r.WNS {
-				r.WNS = setup
-			}
-			if setup < 0 {
-				r.TNS += setup
-			}
-		}
 		if !math.IsInf(hold, 1) {
 			anyHold = true
 			if hold < r.WNSHold {
@@ -500,9 +145,6 @@ func (r *Result) computeSlacks() {
 				r.TNSHold += hold
 			}
 		}
-	}
-	if !anySetup {
-		r.WNS = 0
 	}
 	if !anyHold {
 		r.WNSHold = 0
@@ -535,10 +177,4 @@ func (r *Result) WorstSlack() float64 { return r.WNS }
 // the pin carries no constrained arrival.
 //
 //dtgp:index pid=pin
-func (r *Result) PinSlack(pid int32, tr Transition) float64 {
-	t := TIdx(pid, tr)
-	if !r.Valid[t] || math.IsInf(r.RATLate[t], 1) {
-		return inf
-	}
-	return r.RATLate[t] - r.ATLate[t]
-}
+func (r *Result) PinSlack(pid int32, tr Transition) float64 { return r.sta.pinSlack(pid, tr) }
